@@ -13,7 +13,8 @@ differently laid-out text compare equal when they have the same structure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TypeAlias, Union
+from types import MappingProxyType
+from typing import Any, Mapping, TypeAlias, TypeVar, Union
 
 Pos: TypeAlias = "tuple[int, int]"
 
@@ -143,12 +144,70 @@ def arrow_components(ty: TypeExpr) -> list[TypeExpr]:
     return parts
 
 
+def arity(ty: TypeExpr) -> int:
+    """Argument count of an operation type: arrow components minus one."""
+    return len(arrow_components(ty)) - 1
+
+
 def arrow_chain(parts: list[TypeExpr]) -> TypeExpr:
     """Inverse of :func:`arrow_components`; ``parts`` must be nonempty."""
     ty = parts[-1]
     for p in reversed(parts[:-1]):
         ty = Arrow(p, ty)
     return ty
+
+
+# -- name mapping ----------------------------------------------------------------
+
+_NO_NAMES: Mapping[str, Any] = MappingProxyType({})
+
+Node = TypeVar("Node", bound=Union[Term, TypeExpr, Binder])
+
+
+def map_names(
+    node: Node,
+    sorts: Mapping[str, TypeExpr] = _NO_NAMES,
+    syms: Mapping[str, str] = _NO_NAMES,
+    vars: Mapping[str, str] = _NO_NAMES,
+) -> Node:
+    """Rebuild a term, type expression or binder with names mapped.
+
+    ``sorts`` replaces sort references by whole type expressions, ``syms``
+    renames symbol occurrences and type-application heads, and ``vars``
+    renames variable occurrences and binder names.  Unmapped leaves are
+    shared with the input; every other node is rebuilt without its source
+    position.
+    """
+    return _walk(node, sorts, syms, vars)
+
+
+def _walk(n: Any, sorts: Mapping[str, TypeExpr], syms: Mapping[str, str], vars: Mapping[str, str]) -> Any:
+    # exact class tests: the node classes are never subclassed
+    cls = type(n)
+    if cls is App:
+        return App(_walk(n.fn, sorts, syms, vars), _walk(n.arg, sorts, syms, vars))
+    if cls is Sym:
+        name = syms.get(n.name)
+        return n if name is None else Sym(name)
+    if cls is Var:
+        name = vars.get(n.name)
+        return n if name is None else Var(name)
+    if cls is SortRef:
+        return sorts.get(n.name, n)
+    if cls is Arrow:
+        return Arrow(_walk(n.dom, sorts, syms, vars), _walk(n.cod, sorts, syms, vars))
+    if cls is TyApp:
+        return TyApp(syms.get(n.head, n.head), [_walk(a, sorts, syms, vars) for a in n.args])
+    if cls is Equation:
+        return Equation(_walk(n.lhs, sorts, syms, vars), _walk(n.rhs, sorts, syms, vars))
+    if cls is Quant:
+        binders = [_walk(b, sorts, syms, vars) for b in n.binders]
+        return Quant(binders, _walk(n.body, sorts, syms, vars))
+    if cls is Binder:
+        return Binder([vars.get(x, x) for x in n.names], _walk(n.ty, sorts, syms, vars), n.hidden)
+    if cls is SetKind:
+        return n
+    raise TypeError(f"not a term or type expression: {n!r}")
 
 
 # -- declarations --------------------------------------------------------------
@@ -209,9 +268,11 @@ __all__ = [
     "TypeExpr",
     "Var",
     "apply_spine",
+    "arity",
     "arrow_chain",
     "arrow_components",
     "decl_member_names",
     "is_valid_name",
+    "map_names",
     "spine",
 ]

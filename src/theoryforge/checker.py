@@ -34,6 +34,7 @@ from .ast import (
     TypeExpr,
     Var,
     arrow_components,
+    map_names,
     spine,
 )
 from .printer import print_type
@@ -69,11 +70,6 @@ class _RecordInfo:
         """Index of the unique Set-typed parameter, if there is exactly one."""
         hits = [i for i, (_, ty) in enumerate(self.params) if isinstance(ty, SetKind)]
         return hits[0] if len(hits) == 1 else None
-
-    @property
-    def sort_param(self) -> str | None:
-        i = self.sort_index
-        return self.params[i][0] if i is not None else None
 
 
 @dataclass
@@ -355,21 +351,8 @@ class _DeclChecker:
             )
             return None
         carrier = inst_args[sort_index]
-        field_ty = _subst_sort(info.fields[name], info.sort_param or "", carrier)
+        field_ty = map_names(info.fields[name], {info.params[sort_index][0]: carrier})
         return self._apply(name, field_ty, args[1:], bound, pos)
-
-
-def _subst_sort(ty: TypeExpr, sort_name: str, repl: TypeExpr) -> TypeExpr:
-    if isinstance(ty, SortRef):
-        return repl if ty.name == sort_name else ty
-    if isinstance(ty, TyApp):
-        return TyApp(ty.head, [_subst_sort(a, sort_name, repl) for a in ty.args])
-    if isinstance(ty, Arrow):
-        return Arrow(_subst_sort(ty.dom, sort_name, repl), _subst_sort(ty.cod, sort_name, repl))
-    if isinstance(ty, Quant):
-        binders = [Binder(list(b.names), _subst_sort(b.ty, sort_name, repl), b.hidden) for b in ty.binders]
-        return Quant(binders, _subst_sort(ty.body, sort_name, repl))
-    return ty
 
 
 def check_decl(d: Decl, ctx: CheckContext) -> list[CheckError]:

@@ -8,7 +8,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 parse failure, 2 check failure, 3 generation or
 expansion failure.  Output is a pure function of the inputs and the run
-configuration; ``--jobs`` changes the schedule, never the bytes.
+configuration.  Theories are generated one after another; ``--jobs`` is
+accepted for compatibility and has no effect.
 
 Generated layout, per theory: ``<out>/<Theory>/<Theory><Kind>.gen.eqt`` for
 each construction plus ``<out>/<Theory>/module.gen.eqt`` holding the input
@@ -18,14 +19,14 @@ checked as one module before the run reports success.
 
 Defaults may also come from a ``theoryforge.cfg`` file in the working
 directory (line-oriented ``key = value``: ``constructions``, ``out``,
-``jobs``, ``orient-assoc``, ``suffix.<kind>``); command-line flags win.
+``jobs``, ``orient-assoc``, ``suffix.<kind>``; any other key is an error);
+command-line flags win.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
@@ -46,6 +47,7 @@ from .printer import print_decl, print_module
 from .theory import EqTheory, ShapeError, embed, extract
 
 CONFIG_FILE = "theoryforge.cfg"
+CONFIG_KEYS = frozenset({"constructions", "out", "jobs", "orient-assoc"})
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -58,12 +60,9 @@ class RunConfig:
     kinds: tuple[GenKind, ...] = DEFAULT_KINDS
     suffixes: dict[GenKind, str] = dc_field(default_factory=lambda: dict(DEFAULT_SUFFIXES))
     out_dir: Path = Path("generated")
-    jobs: int = 1
     force_orient_assoc: bool = False
 
     def validate(self) -> None:
-        if self.jobs < 1:
-            raise ValueError("--jobs must be at least 1")
         values = list(self.suffixes.values())
         if len(set(values)) != len(values):
             raise ValueError("construction suffixes must be pairwise distinct")
@@ -84,7 +83,15 @@ def _read_config_file(directory: Path) -> dict[str, str]:
         if "=" not in line:
             raise ValueError(f"{path}: malformed line {raw!r}")
         key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key, value = key.strip(), value.strip()
+        if key not in CONFIG_KEYS and not key.startswith("suffix."):
+            raise ValueError(f"{path}: unknown key {key!r}")
+        if key == "jobs":
+            try:
+                int(value)
+            except ValueError:
+                raise ValueError(f"{path}: jobs must be an integer, got {value!r}") from None
+        values[key] = value
     return values
 
 
@@ -105,9 +112,10 @@ def build_config(args: argparse.Namespace, cwd: Path | None = None) -> RunConfig
     out = args.out if args.out is not None else cfg_values.get("out")
     if out is not None:
         cfg.out_dir = Path(out)
+    # --jobs is accepted for compatibility and only validated
     jobs = args.jobs if args.jobs is not None else cfg_values.get("jobs")
-    if jobs is not None:
-        cfg.jobs = int(jobs)
+    if jobs is not None and int(jobs) < 1:
+        raise ValueError("--jobs must be at least 1")
     orient = cfg_values.get("orient-assoc")
     if orient is not None:
         cfg.force_orient_assoc = orient.lower() in ("1", "true", "yes", "on")
@@ -186,21 +194,7 @@ def _generate_batch(
 ) -> tuple[list[TheoryOutput], int]:
     """Generate, write, and check a list of theories.  Returns the outputs
     and a process exit code."""
-    def run(item: tuple[EqTheory, Decl | None]) -> tuple[TheoryOutput, list[str]]:
-        t, decl = item
-        local: list[str] = []
-        out = generate_for_theory(t, cfg, decl, skip_log=local if skip_log is not None else None)
-        return out, local
-
-    if cfg.jobs > 1 and len(theories) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(run, theories))
-    else:
-        results = [run(item) for item in theories]
-    outputs = [out for out, _ in results]
-    if skip_log is not None:
-        for _, local in results:
-            skip_log.extend(local)
+    outputs = [generate_for_theory(t, cfg, decl, skip_log=skip_log) for t, decl in theories]
 
     try:
         for out in outputs:
@@ -316,7 +310,7 @@ def _add_gen_flags(sub: argparse.ArgumentParser) -> None:
         metavar="KIND=STR",
         help="override a renaming suffix, e.g. --suffix sig=Sg",
     )
-    sub.add_argument("--jobs", type=int, help="generate up to N theories concurrently")
+    sub.add_argument("--jobs", type=int, help="accepted for compatibility; has no effect")
     sub.add_argument(
         "--orient-assoc",
         action="store_true",

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Union
 
 from . import lexer
-from .ast import Binder, Constr, RecordDecl, SetKind, arrow_components
+from .ast import Binder, Constr, RecordDecl, SetKind, arity
 from .lexer import LexError, tokenize
 from .parser import ParseError, Parser
 from .theory import (
@@ -111,7 +111,7 @@ def _expand_extend(e: Extend, parent: EqTheory) -> EqTheory:
         names.add(c.name)
         if is_sort_chain(c.ty, sort):
             funcs.append(Constr(c.name, c.ty))
-            arities[c.name] = len(arrow_components(c.ty)) - 1
+            arities[c.name] = arity(c.ty)
         else:
             axioms.append(constr_to_axiom(c, sort, arities))
     return EqTheory(e.name, parent.sort, funcs, axioms, parent.waist)

@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
-from .ast import Sym, Term, Var, spine
-from .theory import Axiom, EqTheory, associativity_op
+from .ast import Term, Var, spine
+from .theory import Axiom, EqTheory, ShapeError, _check_axiom_term, associativity_op
 
 
 class ArityError(Exception):
@@ -57,22 +57,12 @@ def free_indices(t: OpenTerm) -> set[int]:
     return out
 
 
-def term_from_axiom_side(side: Term, var_index: Mapping[str, int], arities: Mapping[str, int]) -> OpenTerm:
-    """Convert one side of an axiom's equation into an open term."""
+def term_from_axiom_side(side: Term, var_index: Mapping[str, int]) -> OpenTerm:
+    """Convert one side of a validated axiom's equation into an open term."""
     head, args = spine(side)
     if isinstance(head, Var):
-        if args:
-            raise ArityError(f"variable {head.name!r} applied to arguments")
         return TVar(var_index[head.name])
-    if isinstance(head, Sym):
-        if head.name not in arities:
-            raise ArityError(f"unknown symbol {head.name!r}")
-        if len(args) != arities[head.name]:
-            raise ArityError(
-                f"{head.name!r} expects {arities[head.name]} argument(s), got {len(args)}"
-            )
-        return TOp(head.name, tuple(term_from_axiom_side(a, var_index, arities) for a in args))
-    raise ArityError("malformed term")
+    return TOp(head.name, tuple(term_from_axiom_side(a, var_index) for a in args))  # type: ignore[union-attr]
 
 
 # -- models and evaluation ---------------------------------------------------
@@ -132,10 +122,15 @@ def _orientable(lhs: OpenTerm, rhs: OpenTerm) -> bool:
 
 
 def axiom_sides(ax: Axiom, arities: Mapping[str, int]) -> tuple[int, OpenTerm, OpenTerm]:
+    """Validate both sides of an axiom against ``arities`` and convert them;
+    raises :class:`ArityError` on a side that does not fit."""
     index = {name: i for i, name in enumerate(ax.var_names)}
-    lhs = term_from_axiom_side(ax.lhs, index, arities)
-    rhs = term_from_axiom_side(ax.rhs, index, arities)
-    return len(index), lhs, rhs
+    for side, t in (("left side", ax.lhs), ("right side", ax.rhs)):
+        try:
+            _check_axiom_term(t, index, arities, f"axiom {ax.name!r}, {side}")
+        except ShapeError as e:
+            raise ArityError(str(e)) from e
+    return len(index), term_from_axiom_side(ax.lhs, index), term_from_axiom_side(ax.rhs, index)
 
 
 def orient(ax: Axiom, arities: Mapping[str, int]) -> RewriteRule | None:

@@ -13,7 +13,6 @@ import enum
 from dataclasses import dataclass
 
 from .ast import (
-    App,
     Arrow,
     Binder,
     Constr,
@@ -30,9 +29,10 @@ from .ast import (
     TypeExpr,
     Var,
     apply_spine,
+    arity,
     arrow_chain,
-    arrow_components,
     decl_member_names,
+    map_names,
 )
 from .theory import (
     Axiom,
@@ -57,7 +57,6 @@ class GenKind(enum.Enum):
     PRODUCT = "prod"
     TERM_LANG = "termlang"
     OPEN_TERM_LANG = "open-termlang"
-    EVALUATOR = "evaluator"
     HOM = "hom"
     MONOMORPHISM = "mono"
     ENDOMORPHISM = "endo"
@@ -86,7 +85,7 @@ DEFAULT_SUFFIXES: dict[GenKind, str] = {
 
 def kind_from_flag(flag: str) -> GenKind:
     for k in GenKind:
-        if k.flag == flag and k is not GenKind.EVALUATOR:
+        if k.flag == flag:
             return k
     raise ValueError(f"unknown construction {flag!r}")
 
@@ -103,24 +102,6 @@ def gen_signature(t: EqTheory, suffix: str = "S") -> EqTheory:
 
 # -- product algebra ---------------------------------------------------------------
 
-def _subst_sort_type(ty: TypeExpr, sort: str, repl: TypeExpr) -> TypeExpr:
-    if isinstance(ty, SortRef) and ty.name == sort:
-        return repl
-    if isinstance(ty, Arrow):
-        return Arrow(_subst_sort_type(ty.dom, sort, repl), _subst_sort_type(ty.cod, sort, repl))
-    if isinstance(ty, TyApp):
-        return TyApp(ty.head, [_subst_sort_type(a, sort, repl) for a in ty.args])
-    return ty
-
-
-def _rename_vars_term(t: Term, mapping: dict[str, str]) -> Term:
-    if isinstance(t, Var):
-        return Var(mapping.get(t.name, t.name))
-    if isinstance(t, Sym):
-        return Sym(t.name)
-    return App(_rename_vars_term(t.fn, mapping), _rename_vars_term(t.arg, mapping))
-
-
 def gen_product(t: EqTheory, suffix: str = "P") -> EqTheory:
     """The theory over the binary product of the carrier: every occurrence
     of the sort becomes ``Prod s s``, axiom binders become explicit (one per
@@ -129,10 +110,9 @@ def gen_product(t: EqTheory, suffix: str = "P") -> EqTheory:
     renamed = rename_with(t, RenameScheme(suffix).mapping_for(t), new_name=t.name + "Prod")
     sort2 = renamed.sort.name
     prod_ty = TyApp(PROD_TYPE_NAME, [SortRef(sort2), SortRef(sort2)])
+    to_prod = {sort2: prod_ty}
 
-    funcs = [
-        Constr(f.name, _subst_sort_type(f.ty, sort2, prod_ty)) for f in renamed.func_types
-    ]
+    funcs = [Constr(f.name, map_names(f.ty, to_prod)) for f in renamed.func_types]
     axioms: list[Axiom] = []
     for ax in renamed.axioms:
         var_map = {v: v + suffix for v in ax.var_names}
@@ -143,8 +123,8 @@ def gen_product(t: EqTheory, suffix: str = "P") -> EqTheory:
             lhs: Term = apply_spine(Sym(op), [apply_spine(Sym(op), [a, b]), c])
             rhs: Term = apply_spine(Sym(op), [Var(a.name), apply_spine(Sym(op), [Var(b.name), Var(c.name)])])
         else:
-            lhs = _rename_vars_term(ax.lhs, var_map)
-            rhs = _rename_vars_term(ax.rhs, var_map)
+            lhs = map_names(ax.lhs, vars=var_map)
+            rhs = map_names(ax.rhs, vars=var_map)
         axioms.append(Axiom(ax.name, binders, lhs, rhs))
     return EqTheory(renamed.name, renamed.sort, funcs, axioms, renamed.waist)
 
@@ -168,8 +148,7 @@ def gen_termlang(t: EqTheory, suffix: str = "L") -> DataDecl:
     lang = t.name + "Lang"
     ctors = []
     for f in t.func_types:
-        arity = len(arrow_components(f.ty)) - 1
-        ctors.append(Constr(f.name + suffix, arrow_chain([SortRef(lang)] * (arity + 1))))
+        ctors.append(Constr(f.name + suffix, arrow_chain([SortRef(lang)] * (arity(f.ty) + 1))))
     return DataDecl(lang, [], ctors)
 
 
@@ -179,8 +158,7 @@ def gen_open_termlang(t: EqTheory, suffix: str = "OL") -> DataDecl:
     lang = t.name + "OpenLang"
     ctors = [Constr("v", Arrow(SortRef("V"), SortRef(lang)))]
     for f in t.func_types:
-        arity = len(arrow_components(f.ty)) - 1
-        ctors.append(Constr(f.name + suffix, arrow_chain([SortRef(lang)] * (arity + 1))))
+        ctors.append(Constr(f.name + suffix, arrow_chain([SortRef(lang)] * (arity(f.ty) + 1))))
     return DataDecl(lang, [Binder(["V"], SetKind())], ctors)
 
 
@@ -234,10 +212,9 @@ def _hom_like(t: EqTheory, naming: HomNaming, copies: int) -> tuple[list[Binder]
 
     params: list[Binder] = []
     for i in range(1, copies + 1):
-        carrier = naming.carrier_names[i - 1]
+        to_carrier = {t.sort.name: SortRef(naming.carrier_names[i - 1])}
         for entry in lifted:
-            ty = _subst_sort_type(entry.ty, t.sort.name, SortRef(carrier))
-            params.append(Binder([copy_name(entry.name, i)], ty))
+            params.append(Binder([copy_name(entry.name, i)], map_names(entry.ty, to_carrier)))
     instances = [naming.instance_names[i - 1] for i in range(1, copies + 1)]
     for i, inst in enumerate(instances, start=1):
         inst_ty = TyApp(t.name, [SortRef(copy_name(e.name, i)) for e in lifted])
@@ -251,9 +228,9 @@ def _hom_like(t: EqTheory, naming: HomNaming, copies: int) -> tuple[list[Binder]
     reserved = set(t.declared_names()) | {b for p in params for b in p.names} | {naming.func_name}
     used_vars: set[str] = set()
     for f in t.func_types:
-        arity = len(arrow_components(f.ty)) - 1
-        base = _pick_var_base(reserved, arity)
-        xs = [f"{base}{i}" for i in range(1, arity + 1)]
+        n = arity(f.ty)
+        base = _pick_var_base(reserved, n)
+        xs = [f"{base}{i}" for i in range(1, n + 1)]
         used_vars.update(xs)
 
         def occurrence(i: int) -> list[Term]:
@@ -362,9 +339,7 @@ def gen_all(
             return gen_hom(t, hom_naming(kind))
         if kind is GenKind.MONOMORPHISM:
             return gen_monomorphism(t, hom_naming(kind))
-        if kind is GenKind.ENDOMORPHISM:
-            return gen_endomorphism(t, hom_naming(kind))
-        raise GenError("the evaluator lives in the term engine and is not emitted as source")
+        return gen_endomorphism(t, hom_naming(kind))
 
     out: list[Decl] = []
     for kind in selected:

@@ -13,10 +13,10 @@ telescope order.
 
 from __future__ import annotations
 
+from collections.abc import Container, Mapping
 from dataclasses import dataclass, field
 
 from .ast import (
-    App,
     Arrow,
     Binder,
     Constr,
@@ -28,10 +28,11 @@ from .ast import (
     SortRef,
     Sym,
     Term,
-    TyApp,
     TypeExpr,
     Var,
+    arity,
     arrow_components,
+    map_names,
     spine,
 )
 
@@ -77,14 +78,14 @@ class EqTheory:
 
     @property
     def arities(self) -> dict[str, int]:
-        return {f.name: len(arrow_components(f.ty)) - 1 for f in self.func_types}
+        return {f.name: arity(f.ty) for f in self.func_types}
 
     def declared_names(self) -> list[str]:
         return [self.sort.name] + [f.name for f in self.func_types] + [a.name for a in self.axioms]
 
     def constants(self) -> list[str]:
         """Nullary function symbols, in declaration order."""
-        return [f.name for f in self.func_types if len(arrow_components(f.ty)) == 1]
+        return [f.name for f in self.func_types if arity(f.ty) == 0]
 
 
 # -- extraction -----------------------------------------------------------------
@@ -94,15 +95,7 @@ def is_sort_chain(ty: TypeExpr, sort: str) -> bool:
     return all(isinstance(p, SortRef) and p.name == sort for p in parts)
 
 
-def _term_symbols(t: Term) -> set[str]:
-    head, args = spine(t)
-    syms = {head.name} if isinstance(head, Sym) else set()
-    for a in args:
-        syms |= _term_symbols(a)
-    return syms
-
-
-def _check_axiom_term(t: Term, vars_: dict[str, TypeExpr], arities: dict[str, int], where: str) -> None:
+def _check_axiom_term(t: Term, vars_: Container[str], arities: Mapping[str, int], where: str) -> None:
     head, args = spine(t)
     if isinstance(head, Var):
         if head.name not in vars_:
@@ -179,7 +172,7 @@ def extract(d: RecordDecl) -> EqTheory:
             if any(isinstance(p, Arrow) for p in parts):
                 raise ShapeError(f"{d.name}.{c.name}: higher-order argument types are not supported")
 
-    arities = {f.name: len(arrow_components(f.ty)) - 1 for f in func_types}
+    arities = {f.name: arity(f.ty) for f in func_types}
     axioms: list[Axiom] = []
     for c in telescope:
         if c is sort or id(c) in func_ids:
@@ -193,31 +186,6 @@ def extract(d: RecordDecl) -> EqTheory:
 
 
 # -- renaming --------------------------------------------------------------------
-
-def _rename_type(ty: TypeExpr, mapping: dict[str, str]) -> TypeExpr:
-    if isinstance(ty, SetKind):
-        return SetKind()
-    if isinstance(ty, SortRef):
-        return SortRef(mapping.get(ty.name, ty.name))
-    if isinstance(ty, TyApp):
-        return TyApp(mapping.get(ty.head, ty.head), [_rename_type(a, mapping) for a in ty.args])
-    if isinstance(ty, Arrow):
-        return Arrow(_rename_type(ty.dom, mapping), _rename_type(ty.cod, mapping))
-    if isinstance(ty, Quant):
-        binders = [Binder(list(b.names), _rename_type(b.ty, mapping), b.hidden) for b in ty.binders]
-        return Quant(binders, _rename_type(ty.body, mapping))
-    if isinstance(ty, Equation):
-        return Equation(_rename_term(ty.lhs, mapping), _rename_term(ty.rhs, mapping))
-    raise ValueError(f"not a type expression: {ty!r}")
-
-
-def _rename_term(t: Term, mapping: dict[str, str]) -> Term:
-    if isinstance(t, Var):
-        return Var(t.name)
-    if isinstance(t, Sym):
-        return Sym(mapping.get(t.name, t.name))
-    return App(_rename_term(t.fn, mapping), _rename_term(t.arg, mapping))
-
 
 def rename_with(t: EqTheory, mapping: dict[str, str], new_name: str | None = None) -> EqTheory:
     """Apply an explicit name map to every occurrence of the declared names.
@@ -242,13 +210,14 @@ def rename_with(t: EqTheory, mapping: dict[str, str], new_name: str | None = Non
             )
 
     sort = Constr(mapping.get(t.sort.name, t.sort.name), SetKind())
-    funcs = [Constr(mapping.get(f.name, f.name), _rename_type(f.ty, mapping)) for f in t.func_types]
+    sorts = {t.sort.name: SortRef(sort.name)}
+    funcs = [Constr(mapping.get(f.name, f.name), map_names(f.ty, sorts, mapping)) for f in t.func_types]
     axioms = [
         Axiom(
             mapping.get(a.name, a.name),
-            [Binder(list(b.names), _rename_type(b.ty, mapping), b.hidden) for b in a.binders],
-            _rename_term(a.lhs, mapping),
-            _rename_term(a.rhs, mapping),
+            [map_names(b, sorts) for b in a.binders],
+            map_names(a.lhs, syms=mapping),
+            map_names(a.rhs, syms=mapping),
         )
         for a in t.axioms
     ]
@@ -293,9 +262,10 @@ def associativity_op(ax: Axiom) -> str | None:
 
 
 def mentioned_constants(ax: Axiom, t: EqTheory) -> list[str]:
-    """Nullary symbols of ``t`` the axiom mentions, in declaration order."""
-    used = _term_symbols(ax.lhs) | _term_symbols(ax.rhs)
-    return [c for c in t.constants() if c in used]
+    """Nullary symbols of ``t`` the axiom mentions, in declaration order:
+    those whose renaming changes the equation."""
+    eq = Equation(ax.lhs, ax.rhs)
+    return [c for c in t.constants() if map_names(eq, syms={c: c + "'"}) != eq]
 
 
 @dataclass(frozen=True)

@@ -160,10 +160,24 @@ def test_lib_full_catalog_checks_clean(workdir, capsys):
     assert int(parts["definitions"]) == int(parts["theories"]) * 8
 
 
+def test_lib_full_catalog_output_bytes_are_pinned(workdir):
+    kinds = "sig,prod,termlang,open-termlang,hom,mono,endo"
+    assert main(["lib", str(standard_library_path()), "--out", "full", "--constructions", kinds]) == 0
+    assert tree_hash(workdir / "full") == (
+        "6c740ad5b1f1bcd0fc60238dc63685454050aab3d5f312f089d29a6e1a75abce"
+    )
+
+
 def test_lib_jobs_do_not_change_bytes(workdir):
     assert main(["lib", str(standard_library_path()), "--out", "a", "--jobs", "1"]) == 0
     assert main(["lib", str(standard_library_path()), "--out", "b", "--jobs", "8"]) == 0
     assert tree_hash(workdir / "a") == tree_hash(workdir / "b")
+
+
+def test_lib_rejects_jobs_below_one(workdir, capsys):
+    assert main(["lib", str(standard_library_path()), "--out", "a", "--jobs", "0"]) == 3
+    assert "--jobs must be at least 1" in capsys.readouterr().err
+    assert not (workdir / "a").exists()
 
 
 def test_lib_expansion_failure_names_entry(workdir, capsys):
@@ -202,6 +216,22 @@ def test_flags_override_config_file(workdir):
     assert main(["gen", "monoid.eqt", "--out", "flagout"]) == 0
     assert not (workdir / "cfgout").exists()
     assert (workdir / "flagout" / "Monoid").is_dir()
+
+
+def test_config_file_rejects_unknown_key(workdir, capsys):
+    copy_fixture("monoid.eqt", workdir)
+    (workdir / "theoryforge.cfg").write_text("construction = sig\n", encoding="utf-8")
+    assert main(["gen", "monoid.eqt"]) == 3
+    assert "theoryforge.cfg: unknown key 'construction'" in capsys.readouterr().err
+    assert not (workdir / "generated").exists()
+
+
+def test_config_file_jobs_must_be_an_integer(workdir, capsys):
+    copy_fixture("monoid.eqt", workdir)
+    (workdir / "theoryforge.cfg").write_text("jobs = two\n", encoding="utf-8")
+    assert main(["gen", "monoid.eqt"]) == 3
+    assert "theoryforge.cfg: jobs must be an integer, got 'two'" in capsys.readouterr().err
+    assert not (workdir / "generated").exists()
 
 
 # -- process-level entry -----------------------------------------------------------------

@@ -18,8 +18,9 @@ from theoryforge.engine import (
     rules_for_theory,
     symbol_count,
 )
+from theoryforge.ast import App, Arrow, Binder, Constr, Equation, Quant, RecordDecl, SetKind, SortRef, Sym, Var
 from theoryforge.parser import parse_decl
-from theoryforge.theory import extract
+from theoryforge.theory import Axiom, ShapeError, extract
 
 E = TOp("e")
 
@@ -127,6 +128,37 @@ def test_orientation_flips_growing_equations():
     rule = orient(t.axioms[0], t.arities)
     assert rule is not None
     assert rule.lhs == op(TVar(0), E) and rule.rhs == TVar(0)
+
+
+@pytest.mark.parametrize(
+    ("lhs", "message"),
+    [
+        (Var("y"), "unbound variable 'y'"),
+        (App(Var("x"), Var("x")), "variable 'x' applied to arguments"),
+        (Sym("f"), "unknown symbol 'f'"),
+        (App(Sym("op"), Var("x")), "'op' expects 2 arguments, got 1"),
+    ],
+    ids=["unbound-variable", "applied-variable", "unknown-symbol", "wrong-arity"],
+)
+def test_extract_and_orient_share_the_axiom_validator(lhs, message):
+    # built by hand: the parser never produces an unbound variable
+    binders = [Binder(["x"], SortRef("A"))]
+    expected = f"axiom 'bad', left side: {message}"
+    decl = RecordDecl(
+        "M",
+        [Binder(["A"], SetKind())],
+        "MC",
+        [
+            Constr("op", Arrow(SortRef("A"), Arrow(SortRef("A"), SortRef("A")))),
+            Constr("bad", Quant(binders, Equation(lhs, Var("x")))),
+        ],
+    )
+    with pytest.raises(ShapeError) as shape:
+        extract(decl)
+    assert str(shape.value) == expected
+    with pytest.raises(ArityError) as arity:
+        orient(Axiom("bad", binders, lhs, Var("x")), {"op": 2})
+    assert str(arity.value) == expected
 
 
 def test_oriented_rule_never_invents_variables(library):

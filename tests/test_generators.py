@@ -252,17 +252,8 @@ def test_gen_all_empty_kinds(monoid):
     assert gen_all(monoid, []) == []
 
 
-def test_gen_all_evaluator_is_not_a_source_construction(monoid):
-    with pytest.raises(GenError, match="term engine"):
-        gen_all(monoid, [GenKind.EVALUATOR])
-    log: list[str] = []
-    assert gen_all(monoid, [GenKind.EVALUATOR], skip_log=log) == []
-    assert log and "skipped" in log[0]
-
-
 def test_gen_all_full_catalog_checks_as_one_module(monoid, monoid_decl):
-    kinds = [k for k in GenKind if k is not GenKind.EVALUATOR]
-    decls = gen_all(monoid, kinds)
+    decls = gen_all(monoid, list(GenKind))
     module = [monoid_decl, prod_decl()] + decls
     assert check_module(module) == []
 

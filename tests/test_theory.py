@@ -106,6 +106,16 @@ def test_rename_preserves_counts_and_shape(library):
             assert old.var_names == new.var_names
 
 
+@pytest.mark.parametrize("suffix", ["S", "_c03"])
+def test_rename_round_trips_across_library(library, suffix):
+    for t in library.theories():
+        m = RenameScheme(suffix).mapping_for(t)
+        renamed = rename_with(t, m)
+        # re-extraction fails on any occurrence the renaming missed
+        assert extract(embed(renamed)) == renamed, t.name
+        assert rename_with(renamed, {v: k for k, v in m.items()}) == t, t.name
+
+
 def test_rename_rejects_non_injective(monoid):
     with pytest.raises(CollisionError, match="duplicate"):
         rename_with(monoid, {"e": "same", "op": "same"})
