@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import theoryforge
 from conftest import DATA, tree_hash
 from theoryforge.cli import main
 from theoryforge.combinators import standard_library_path
@@ -239,9 +240,12 @@ def test_config_file_jobs_must_be_an_integer(workdir, capsys):
 def test_module_entry_point_runs(tmp_path):
     target = tmp_path / "monoid.eqt"
     shutil.copy(DATA / "monoid.eqt", target)
+    # run from the directory holding the package, so the child finds the
+    # same theoryforge as this process whether or not it is installed
     proc = subprocess.run(
         [sys.executable, "-m", "theoryforge", "check", str(target)],
         capture_output=True,
         text=True,
+        cwd=Path(theoryforge.__file__).parents[1],
     )
     assert proc.returncode == 0, proc.stderr
