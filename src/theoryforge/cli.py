@@ -19,8 +19,9 @@ checked as one module before the run reports success.
 
 Defaults may also come from a ``theoryforge.cfg`` file in the working
 directory (line-oriented ``key = value``: ``constructions``, ``out``,
-``jobs``, ``orient-assoc``, ``suffix.<kind>``; any other key is an error);
-command-line flags win.
+``jobs``, ``orient-assoc``, ``suffix.<kind>``; any other key, a repeated
+key, or an ``orient-assoc`` value other than ``1/true/yes/on`` or
+``0/false/no/off`` is an error); command-line flags win.
 """
 
 from __future__ import annotations
@@ -48,6 +49,10 @@ from .theory import EqTheory, ShapeError, embed, extract
 
 CONFIG_FILE = "theoryforge.cfg"
 CONFIG_KEYS = frozenset({"constructions", "out", "jobs", "orient-assoc"})
+CONFIG_BOOLEANS = {
+    "1": True, "true": True, "yes": True, "on": True,
+    "0": False, "false": False, "no": False, "off": False,
+}
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -86,11 +91,15 @@ def _read_config_file(directory: Path) -> dict[str, str]:
         key, value = key.strip(), value.strip()
         if key not in CONFIG_KEYS and not key.startswith("suffix."):
             raise ValueError(f"{path}: unknown key {key!r}")
+        if key in values:
+            raise ValueError(f"{path}: duplicate key {key!r}")
         if key == "jobs":
             try:
                 int(value)
             except ValueError:
                 raise ValueError(f"{path}: jobs must be an integer, got {value!r}") from None
+        if key == "orient-assoc" and value.lower() not in CONFIG_BOOLEANS:
+            raise ValueError(f"{path}: orient-assoc must be true or false, got {value!r}")
         values[key] = value
     return values
 
@@ -118,7 +127,7 @@ def build_config(args: argparse.Namespace, cwd: Path | None = None) -> RunConfig
         raise ValueError("--jobs must be at least 1")
     orient = cfg_values.get("orient-assoc")
     if orient is not None:
-        cfg.force_orient_assoc = orient.lower() in ("1", "true", "yes", "on")
+        cfg.force_orient_assoc = CONFIG_BOOLEANS[orient.lower()]
     if args.orient_assoc:
         cfg.force_orient_assoc = True
 

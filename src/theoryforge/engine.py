@@ -5,10 +5,14 @@ an axiom's quantified variables map to indices in binding order.  Axioms
 whose equations can be oriented — variable containment plus a strict
 symbol-count decrease, tried in both directions — become rewrite rules, and
 ``normalize`` applies them innermost-leftmost, first matching rule wins,
-rules tried in declaration order.  Under that orientation policy every step
-shrinks the term, so the symbol count of the input bounds the number of
-steps; the fuel argument is a defensive cap that also covers deliberately
-forced orientations (associativity) which only rearrange.
+rules tried in declaration order.  After a rewrite only the rule's
+right-hand-side skeleton is rebuilt, trying the rules at each rebuilt node;
+the substituted subterms are already normal and are reused as they are.
+Under that orientation policy every step shrinks the term, so the symbol
+count of the input bounds the number of steps; the fuel argument is a
+defensive cap that also covers deliberately forced orientations
+(associativity) which only rearrange.  Running out of fuel with a redex
+left raises :class:`FuelExhausted`, which carries the partial result.
 """
 
 from __future__ import annotations
@@ -25,12 +29,21 @@ class ArityError(Exception):
     never triggers it)."""
 
 
-@dataclass(frozen=True)
+class FuelExhausted(Exception):
+    """``normalize`` spent all its fuel and the term still has a redex;
+    ``partial`` is the term as far as it got."""
+
+    def __init__(self, partial: OpenTerm) -> None:
+        super().__init__("normalization ran out of fuel before reaching a normal form")
+        self.partial = partial
+
+
+@dataclass(frozen=True, slots=True)
 class TVar:
     index: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TOp:
     sym: str
     args: tuple["OpenTerm", ...] = ()
@@ -172,49 +185,74 @@ def rules_for_theory(t: EqTheory, force_orient_assoc: bool = False) -> list[Rewr
 # -- normalization ------------------------------------------------------------------
 
 def _match(pattern: OpenTerm, term: OpenTerm, subst: dict[int, OpenTerm]) -> bool:
-    if isinstance(pattern, TVar):
+    if type(pattern) is TVar:
         seen = subst.get(pattern.index)
         if seen is None:
             subst[pattern.index] = term
             return True
         return seen == term
-    return (
-        isinstance(term, TOp)
-        and term.sym == pattern.sym
-        and len(term.args) == len(pattern.args)
-        and all(_match(p, a, subst) for p, a in zip(pattern.args, term.args))
-    )
-
-
-def _instantiate(t: OpenTerm, subst: Mapping[int, OpenTerm]) -> OpenTerm:
-    if isinstance(t, TVar):
-        return subst[t.index]
-    return TOp(t.sym, tuple(_instantiate(a, subst) for a in t.args))
+    if type(term) is not TOp or term.sym != pattern.sym or len(term.args) != len(pattern.args):
+        return False
+    for p, a in zip(pattern.args, term.args):
+        if not _match(p, a, subst):
+            return False
+    return True
 
 
 def normalize(t: OpenTerm, rules: Sequence[RewriteRule], fuel: int) -> OpenTerm:
     """Innermost-leftmost rewriting to a fixpoint, spending at most ``fuel``
-    rewrite steps; on exhaustion the partially simplified term is returned."""
+    rewrite steps.  A rewrite rebuilds only the rule's right-hand side
+    around the (already normal) substituted subterms.  Raises
+    :class:`FuelExhausted` with the partially simplified term when the fuel
+    runs out before a normal form is reached."""
 
     def norm(t: OpenTerm, fuel: int) -> tuple[OpenTerm, int]:
-        if isinstance(t, TVar):
+        if type(t) is TVar:
             return t, fuel
         args = []
+        changed = False
         for a in t.args:
-            a, fuel = norm(a, fuel)
-            args.append(a)
-        t = TOp(t.sym, tuple(args))
-        if fuel <= 0:
-            return t, fuel
-        for rule in rules:
-            subst: dict[int, OpenTerm] = {}
-            if _match(rule.lhs, t, subst):
-                return norm(_instantiate(rule.rhs, subst), fuel - 1)
+            n, fuel = norm(a, fuel)
+            changed = changed or n is not a
+            args.append(n)
+        # a subterm that no rule touched comes back as the same object
+        return rewrite(TOp(t.sym, tuple(args)) if changed else t, fuel)
+
+    def rewrite(t: TOp, fuel: int) -> tuple[OpenTerm, int]:
+        # the arguments of t are normal unless the fuel is gone; a rewrite
+        # rebuilds the right-hand side in place of t and tries again there
+        while fuel > 0:
+            for rule in rules:
+                subst: dict[int, OpenTerm] = {}
+                if _match(rule.lhs, t, subst):
+                    break
+            else:
+                return t, fuel
+            fuel -= 1
+            rhs = rule.rhs
+            if type(rhs) is TVar:
+                return subst[rhs.index], fuel
+            args = []
+            for a in rhs.args:
+                a, fuel = rebuild(a, subst, fuel)
+                args.append(a)
+            t = TOp(rhs.sym, tuple(args))
         return t, fuel
+
+    def rebuild(r: OpenTerm, subst: Mapping[int, OpenTerm], fuel: int) -> tuple[OpenTerm, int]:
+        if type(r) is TVar:
+            return subst[r.index], fuel
+        args = []
+        for a in r.args:
+            a, fuel = rebuild(a, subst, fuel)
+            args.append(a)
+        return rewrite(TOp(r.sym, tuple(args)), fuel)
 
     if fuel < 1:
         raise ValueError("fuel must be at least 1")
-    result, _ = norm(t, fuel)
+    result, left = norm(t, fuel)
+    if left == 0 and not is_normal(result, rules):
+        raise FuelExhausted(result)
     return result
 
 
@@ -269,6 +307,7 @@ def _term_key(t: OpenTerm) -> tuple:
 __all__ = [
     "ArityError",
     "Env",
+    "FuelExhausted",
     "Model",
     "OpenTerm",
     "RewriteRule",

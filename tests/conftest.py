@@ -5,6 +5,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from theoryforge.ast import Decl, RecordDecl
 from theoryforge.combinators import Library, load_library, standard_library_path
@@ -12,6 +13,10 @@ from theoryforge.parser import parse_file
 from theoryforge.theory import EqTheory, extract
 
 DATA = Path(__file__).parent / "data"
+
+# property tests draw the same examples on every run and carry no time limit
+settings.register_profile("theoryforge", derandomize=True, deadline=None)
+settings.load_profile("theoryforge")
 
 
 def read_data(name: str) -> str:

@@ -235,6 +235,22 @@ def test_config_file_jobs_must_be_an_integer(workdir, capsys):
     assert not (workdir / "generated").exists()
 
 
+def test_config_file_rejects_misspelt_orient_assoc(workdir, capsys):
+    copy_fixture("monoid.eqt", workdir)
+    (workdir / "theoryforge.cfg").write_text("orient-assoc = ture\n", encoding="utf-8")
+    assert main(["gen", "monoid.eqt"]) == 3
+    assert "theoryforge.cfg: orient-assoc must be true or false, got 'ture'" in capsys.readouterr().err
+    assert not (workdir / "generated").exists()
+
+
+def test_config_file_rejects_duplicate_key(workdir, capsys):
+    copy_fixture("monoid.eqt", workdir)
+    (workdir / "theoryforge.cfg").write_text("out = a\nout = b\n", encoding="utf-8")
+    assert main(["gen", "monoid.eqt"]) == 3
+    assert "theoryforge.cfg: duplicate key 'out'" in capsys.readouterr().err
+    assert not (workdir / "a").exists() and not (workdir / "b").exists()
+
+
 # -- process-level entry -----------------------------------------------------------------
 
 def test_module_entry_point_runs(tmp_path):

@@ -3,9 +3,13 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from theoryforge import engine
 from theoryforge.engine import (
     ArityError,
+    FuelExhausted,
     Model,
     TOp,
     TVar,
@@ -202,12 +206,18 @@ def test_normalize_requires_positive_fuel(monoid):
         normalize(E, rules_for_theory(monoid), 0)
 
 
-def test_fuel_exhaustion_returns_partial_result(monoid):
+def test_fuel_exhaustion_raises_with_partial_result(monoid):
     rules = rules_for_theory(monoid)
     t = op(E, op(E, op(E, TVar(0))))
-    partial = normalize(t, rules, 1)
+    with pytest.raises(FuelExhausted) as exhausted:
+        normalize(t, rules, 1)
+    partial = exhausted.value.partial
     assert symbol_count(partial) < symbol_count(t)
     assert partial != TVar(0)
+
+
+def test_exactly_enough_fuel_does_not_raise(monoid):
+    assert normalize(op(E, TVar(0)), rules_for_theory(monoid), 1) == TVar(0)
 
 
 def test_termination_bound_under_strict_decrease(monoid):
@@ -231,6 +241,139 @@ def test_normalize_right_nests_under_forced_associativity(monoid):
     t = op(op(op(TVar(0), TVar(1)), TVar(2)), TVar(3))
     normal = normalize(t, rules, default_fuel(t))
     assert normal == op(TVar(0), op(TVar(1), op(TVar(2), TVar(3))))
+
+
+def _right_nested(t) -> bool:
+    if isinstance(t, TVar) or not t.args:
+        return True
+    left, right = t.args
+    return not (isinstance(left, TOp) and left.sym == "op") and _right_nested(left) and _right_nested(right)
+
+
+def _left_comb(leaves):
+    comb = TVar(0)
+    for i in range(1, leaves):
+        comb = op(comb, TVar(i % 3))
+    return comb
+
+
+def test_forced_association_work_grows_quadratically(monoid, monkeypatch):
+    # a left comb is the rotation's worst case: the rule-matching work must
+    # grow about quadratically in the leaves (4x per doubling), not cubically
+    rules = rules_for_theory(monoid, force_orient_assoc=True)
+    match = engine._match
+    calls = 0
+
+    def counting_match(pattern, term, subst):
+        nonlocal calls
+        calls += 1
+        return match(pattern, term, subst)
+
+    monkeypatch.setattr(engine, "_match", counting_match)
+    counts = []
+    for leaves in (64, 128):
+        comb = _left_comb(leaves)
+        calls = 0
+        normal = normalize(comb, rules, default_fuel(comb))
+        counts.append(calls)
+        assert _right_nested(normal)
+        assert symbol_count(normal) == symbol_count(comb)
+    assert counts[1] < 5 * counts[0], counts
+
+
+def test_forced_association_recursion_depth_stays_linear(monoid):
+    # two frames per leaf of a left comb, so 400 leaves fit the default
+    # recursion limit; normalization is not recursion-free yet
+    rules = rules_for_theory(monoid, force_orient_assoc=True)
+    comb = _left_comb(400)
+    assert _right_nested(normalize(comb, rules, default_fuel(comb)))
+
+
+# -- the skeleton rebuild against the full re-normalization it replaced ----------------
+
+def _reference_match(pattern, term, subst) -> bool:
+    if isinstance(pattern, TVar):
+        seen = subst.get(pattern.index)
+        if seen is None:
+            subst[pattern.index] = term
+            return True
+        return seen == term
+    return (
+        isinstance(term, TOp)
+        and term.sym == pattern.sym
+        and len(term.args) == len(pattern.args)
+        and all(_reference_match(p, a, subst) for p, a in zip(pattern.args, term.args))
+    )
+
+
+def _reference_instantiate(t, subst):
+    if isinstance(t, TVar):
+        return subst[t.index]
+    return TOp(t.sym, tuple(_reference_instantiate(a, subst) for a in t.args))
+
+
+def _reference_normalize(t, rules, fuel):
+    """The oracle: innermost-leftmost rewriting that normalizes the whole
+    instantiated right-hand side after every rewrite and returns the
+    partial term when the fuel runs out."""
+
+    def norm(t, fuel):
+        if isinstance(t, TVar):
+            return t, fuel
+        args = []
+        for a in t.args:
+            a, fuel = norm(a, fuel)
+            args.append(a)
+        t = TOp(t.sym, tuple(args))
+        if fuel <= 0:
+            return t, fuel
+        for rule in rules:
+            subst = {}
+            if _reference_match(rule.lhs, t, subst):
+                return norm(_reference_instantiate(rule.rhs, subst), fuel - 1)
+        return t, fuel
+
+    return norm(t, fuel)[0]
+
+
+def _terms(arities, height):
+    """Open terms of height at most ``height`` over ``arities`` and three variables."""
+    leaf = st.one_of(
+        st.builds(TVar, st.integers(0, 2)),
+        *(st.just(TOp(sym)) for sym, n in arities.items() if n == 0),
+    )
+    if height <= 1:
+        return leaf
+    sub = _terms(arities, height - 1)
+    node = st.one_of(
+        *(st.tuples(*[sub] * n).map(lambda args, sym=sym: TOp(sym, args))
+          for sym, n in arities.items() if n > 0)
+    )
+    # a leaf one time in four, so most drawn terms are more than a few nodes
+    return st.integers(0, 3).flatmap(lambda k: leaf if k == 0 else node)
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["plain", "forced-assoc"])
+@pytest.mark.parametrize("name", ["Monoid", "Group", "Ring", "Lattice"])
+def test_normalize_agrees_with_full_renormalization(library, name, forced):
+    theory = library.expanded[name]
+    rules = rules_for_theory(theory, force_orient_assoc=forced)
+
+    @given(st.data())
+    def agrees(data):
+        t = data.draw(_terms(theory.arities, 7), label="term")
+        fuel = data.draw(st.integers(1, default_fuel(t)), label="fuel")
+        expected = _reference_normalize(t, rules, fuel)
+        try:
+            result = normalize(t, rules, fuel)
+        except FuelExhausted as exhausted:
+            assert exhausted.partial == expected
+            assert not is_normal(expected, rules)
+        else:
+            assert result == expected
+            assert is_normal(expected, rules)
+
+    agrees()
 
 
 # -- enumeration ---------------------------------------------------------------------
