@@ -17,13 +17,27 @@ from .combinators import (
     parse_library,
     standard_library_path,
 )
-from .engine import Model, OpenTerm, RewriteRule, TOp, TVar, eval_term, normalize, orient
 from .generators import GenKind, HomNaming, gen_all
 from .parser import ParseError, parse_file
 from .printer import print_decl, print_module
 from .theory import Axiom, EqTheory, RenameScheme, ShapeError, embed, extract, rename
 
 __version__ = "0.1.0"
+
+# served on first use (PEP 562): no command-line path runs the engine, so
+# importing the package for the CLI does not load it
+_ENGINE_NAMES = frozenset(
+    {"Model", "OpenTerm", "RewriteRule", "TOp", "TVar", "eval_term", "normalize", "orient"}
+)
+
+
+def __getattr__(name: str):
+    if name in _ENGINE_NAMES:
+        from . import engine
+
+        return getattr(engine, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Axiom",

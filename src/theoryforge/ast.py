@@ -35,7 +35,7 @@ def is_valid_name(text: str) -> bool:
 
 # -- terms -------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class Var:
     """A bound variable occurrence (bound by an enclosing quantifier)."""
 
@@ -43,7 +43,7 @@ class Var:
     pos: Pos | None = field(default=None, compare=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class Sym:
     """A declared symbol occurrence (a function symbol, field, or instance)."""
 
@@ -51,7 +51,7 @@ class Sym:
     pos: Pos | None = field(default=None, compare=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class App:
     fn: Term
     arg: Term
@@ -80,34 +80,34 @@ def spine(t: Term) -> tuple[Term, list[Term]]:
 
 # -- type expressions ---------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class SetKind:
     """The kind of sorts, written ``Set``."""
 
     pos: Pos | None = field(default=None, compare=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class SortRef:
     name: str
     pos: Pos | None = field(default=None, compare=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class TyApp:
     head: str
     args: list[TypeExpr]
     pos: Pos | None = field(default=None, compare=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class Arrow:
     dom: TypeExpr
     cod: TypeExpr
     pos: Pos | None = field(default=None, compare=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class Binder:
     """One binder group, ``(x y : T)`` or ``{x y : T}``."""
 
@@ -117,14 +117,14 @@ class Binder:
     pos: Pos | None = field(default=None, compare=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class Quant:
     binders: list[Binder]
     body: TypeExpr
     pos: Pos | None = field(default=None, compare=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class Equation:
     lhs: Term
     rhs: Term
@@ -212,7 +212,7 @@ def _walk(n: Any, sorts: Mapping[str, TypeExpr], syms: Mapping[str, str], vars: 
 
 # -- declarations --------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class Constr:
     """A named typing, ``name : ty`` (a record field or data constructor)."""
 
@@ -221,7 +221,7 @@ class Constr:
     pos: Pos | None = field(default=None, compare=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class RecordDecl:
     name: str
     params: list[Binder]
@@ -230,7 +230,7 @@ class RecordDecl:
     pos: Pos | None = field(default=None, compare=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class DataDecl:
     name: str
     params: list[Binder]

@@ -4,11 +4,17 @@ Identifiers may contain ``-`` (as in ``pres-e``), so a dash continues an
 identifier only when followed by another identifier character; at token start
 ``--`` opens a comment running to end of line and ``->`` is the ASCII arrow.
 The Unicode arrow ``→`` is accepted everywhere ``->`` is.
+
+One compiled master regex scans the source line by line; the number of the
+alternative that matched picks the token kind, and the column is the match
+offset in its line.  Tokens are named tuples ``(kind, value, line, col)``,
+and the list always ends with one ``EOF`` token.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from .ast import RESERVED_WORDS
 
@@ -42,12 +48,10 @@ _SINGLES = {
     "}": RBRACE,
     ":": COLON,
     ",": COMMA,
-    "→": ARROW,
 }
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     value: str
     line: int
@@ -57,87 +61,57 @@ class Token:
         return f"Token({self.kind}, {self.value!r}, {self.line}:{self.col})"
 
 
-def _is_name_start(c: str) -> bool:
-    return c.isalpha() or c == "_"
-
-
-def _is_name_char(c: str) -> bool:
-    return c.isalnum() or c in "_'"
+# Alternatives in priority order; their group numbers are the _COMMENT ...
+# constants below.  Spaces, tabs and carriage returns match nothing and are
+# skipped; any other character matches at least the catch-all.
+_TOKEN_RE = re.compile(
+    r"(--.*)"                        # comment, to end of line
+    r"|(->|→)"                       # arrow
+    r"|(==)"
+    r"|(=)"
+    r"|([(){}:,])"
+    r"|([^\W\d][\w']*(?:-[\w']+)*)"  # name or keyword
+    r"|([^ \t\r])"                   # anything else is an error
+)
+_COMMENT, _ARROW, _EQEQ, _EQ, _SINGLE, _NAME = range(1, 7)
 
 
 def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
-    i = 0
-    line = 1
-    col = 1
-    n = len(source)
-
-    while i < n:
-        c = source[i]
-
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-
-        if c == "-":
-            if i + 1 < n and source[i + 1] == "-":
-                while i < n and source[i] != "\n":
-                    i += 1
-                continue
-            if i + 1 < n and source[i + 1] == ">":
-                tokens.append(Token(ARROW, "→", line, col))
-                i += 2
-                col += 2
-                continue
-            raise LexError("unexpected '-'", line, col)
-
-        if c == "=":
-            if i + 1 < n and source[i + 1] == "=":
-                tokens.append(Token(EQEQ, "==", line, col))
-                i += 2
-                col += 2
+    append = tokens.append
+    # builds each Token without the Python-level NamedTuple constructor
+    new = tuple.__new__
+    line = col = 1
+    for line, text in enumerate(source.split("\n"), 1):
+        col = len(text) + 1
+        for m in _TOKEN_RE.finditer(text):
+            group = m.lastindex
+            start = m.start() + 1
+            if group == _NAME:
+                value = m.group()
+                c = value[0]
+                # [^\W\d] also admits numeric non-digits such as '²'
+                if not (c.isalpha() or c == "_"):
+                    raise LexError(f"unexpected character {c!r}", line, start)
+                kind = KEYWORD if value in RESERVED_WORDS else NAME
+                append(new(Token, (kind, value, line, start)))
+            elif group == _SINGLE:
+                value = m.group()
+                append(new(Token, (_SINGLES[value], value, line, start)))
+            elif group == _ARROW:
+                append(new(Token, (ARROW, "→", line, start)))
+            elif group == _COMMENT:
+                # the comment runs to end of line; end of input after it
+                # sits where it starts
+                col = start
+            elif group == _EQEQ:
+                append(new(Token, (EQEQ, "==", line, start)))
+            elif group == _EQ:
+                append(new(Token, (EQ, "=", line, start)))
             else:
-                tokens.append(Token(EQ, "=", line, col))
-                i += 1
-                col += 1
-            continue
-
-        if c in _SINGLES:
-            tokens.append(Token(_SINGLES[c], c, line, col))
-            i += 1
-            col += 1
-            continue
-
-        if _is_name_start(c):
-            start = i
-            start_col = col
-            i += 1
-            col += 1
-            while i < n:
-                ch = source[i]
-                if _is_name_char(ch):
-                    i += 1
-                    col += 1
-                elif ch == "-" and i + 1 < n and _is_name_char(source[i + 1]):
-                    # dash inside a name, e.g. pres-op
-                    i += 2
-                    col += 2
-                else:
-                    break
-            text = source[start:i]
-            kind = KEYWORD if text in RESERVED_WORDS else NAME
-            tokens.append(Token(kind, text, line, start_col))
-            continue
-
-        raise LexError(f"unexpected character {c!r}", line, col)
-
-    tokens.append(Token(EOF, "", line, col))
+                c = m.group()
+                raise LexError("unexpected '-'" if c == "-" else f"unexpected character {c!r}", line, start)
+    append(new(Token, (EOF, "", line, col)))
     return tokens
 
 

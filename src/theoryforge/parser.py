@@ -23,11 +23,17 @@ the enclosing quantifier parse as variables and everything else as symbols.
 Every node carries its source position.  If the record header omits the
 ``constructor`` clause the declaration still gets one, named after the record
 with a ``C`` appended, so printing always round-trips.
+
+The parser pads the token list it is given with two extra ``EOF`` tokens,
+so lookahead is plain indexing: no lookahead the grammar needs can run past
+the end.  Parentheses and binder groups may nest at most ``MAX_NESTING``
+levels deep; deeper input is a ``ParseError`` at the opening token, before
+the recursion could exhaust the interpreter's stack.  Arrow chains do not
+count as nesting.
 """
 
 from __future__ import annotations
 
-from . import lexer
 from .ast import (
     App,
     Arrow,
@@ -46,7 +52,23 @@ from .ast import (
     TypeExpr,
     Var,
 )
-from .lexer import LexError, Token, tokenize
+from .lexer import (
+    ARROW,
+    COLON,
+    EOF,
+    EQEQ,
+    KEYWORD,
+    LBRACE,
+    LPAREN,
+    NAME,
+    RBRACE,
+    RPAREN,
+    LexError,
+    Token,
+    tokenize,
+)
+
+MAX_NESTING = 200
 
 
 class ParseError(Exception):
@@ -66,20 +88,32 @@ class ParseError(Exception):
 
 class Parser:
     def __init__(self, tokens: list[Token]):
+        """Take over ``tokens``, a list as ``tokenize`` returns it."""
+        # the list ends in EOF and ``pos`` never moves past it; with two more
+        # EOFs, ``_peek(1)`` and ``_peek(2)`` read EOF there.  Padding in
+        # place spares a copy of the list, which showed in peak memory
+        tokens.extend([tokens[-1]] * 2)
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     # -- token plumbing ------------------------------------------------------
 
     def _peek(self, k: int = 0) -> Token:
-        j = min(self.pos + k, len(self.tokens) - 1)
-        return self.tokens[j]
+        return self.tokens[self.pos + k]
 
     def _advance(self) -> Token:
         tok = self.tokens[self.pos]
-        if tok.kind != lexer.EOF:
+        if tok.kind != EOF:
             self.pos += 1
         return tok
+
+    def _nest(self, open_tok: Token) -> None:
+        """Enter one more level of parentheses or binder group; the caller
+        lowers ``depth`` again when the level is closed."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", open_tok.line, open_tok.col)
+        self.depth += 1
 
     def _error(self, message: str, tok: Token | None = None, expected: tuple[str, ...] = ()) -> ParseError:
         tok = tok or self._peek()
@@ -97,27 +131,27 @@ class Parser:
         return self._advance()
 
     def _expect_keyword(self, word: str) -> Token:
-        return self._expect(lexer.KEYWORD, word)
+        return self._expect(KEYWORD, word)
 
     def _expect_name(self) -> Token:
         tok = self._peek()
-        if tok.kind != lexer.NAME:
-            raise self._error(f"expected a name, got {tok.value!r}", tok, expected=(lexer.NAME,))
+        if tok.kind != NAME:
+            raise self._error(f"expected a name, got {tok.value!r}", tok, expected=(NAME,))
         return self._advance()
 
     # -- entry points ----------------------------------------------------------
 
     def parse_file(self) -> list[Decl]:
         decls: list[Decl] = []
-        while self._peek().kind != lexer.EOF:
+        while self._peek().kind != EOF:
             decls.append(self.parse_decl())
         return decls
 
     def parse_decl(self) -> Decl:
         tok = self._peek()
-        if tok.kind == lexer.KEYWORD and tok.value == "record":
+        if tok.kind == KEYWORD and tok.value == "record":
             return self._parse_record()
-        if tok.kind == lexer.KEYWORD and tok.value == "data":
+        if tok.kind == KEYWORD and tok.value == "data":
             return self._parse_data()
         raise self._error(
             f"expected 'record' or 'data', got {tok.value!r}", tok, expected=("record", "data")
@@ -129,19 +163,19 @@ class Parser:
         start = self._expect_keyword("record")
         name = self._expect_name()
         params = self._parse_binders()
-        self._expect(lexer.COLON)
+        self._expect(COLON)
         self._expect_keyword("Set")
         self._expect_keyword("where")
 
         ctor_name = name.value + "C"
         tok = self._peek()
-        if tok.kind == lexer.KEYWORD and tok.value == "constructor":
+        if tok.kind == KEYWORD and tok.value == "constructor":
             self._advance()
             ctor_name = self._expect_name().value
 
         fields: list[Constr] = []
         tok = self._peek()
-        if tok.kind == lexer.KEYWORD and tok.value == "field":
+        if tok.kind == KEYWORD and tok.value == "field":
             self._advance()
             fields = self._parse_constr_block()
         return RecordDecl(name.value, params, ctor_name, fields, pos=(start.line, start.col))
@@ -150,14 +184,14 @@ class Parser:
         start = self._expect_keyword("data")
         name = self._expect_name()
         params = self._parse_binders()
-        self._expect(lexer.COLON)
+        self._expect(COLON)
         self._expect_keyword("Set")
         self._expect_keyword("where")
         ctors = self._parse_constr_block()
         return DataDecl(name.value, params, ctors, pos=(start.line, start.col))
 
     def at_constr_start(self) -> bool:
-        return self._peek().kind == lexer.NAME and self._peek(1).kind == lexer.COLON
+        return self._peek().kind == NAME and self._peek(1).kind == COLON
 
     def _parse_constr_block(self) -> list[Constr]:
         constrs: list[Constr] = []
@@ -167,7 +201,7 @@ class Parser:
 
     def parse_constr(self) -> Constr:
         name = self._expect_name()
-        self._expect(lexer.COLON)
+        self._expect(COLON)
         ty = self.parse_type(frozenset())
         return Constr(name.value, ty, pos=(name.line, name.col))
 
@@ -177,32 +211,34 @@ class Parser:
         """True when the upcoming tokens open a binder group:
         ``{`` always does in type position; ``(`` only if followed by
         one or more names and a colon."""
-        tok = self._peek()
-        if tok.kind == lexer.LBRACE:
+        tokens = self.tokens
+        k = self.pos
+        kind = tokens[k].kind
+        if kind == LBRACE:
             return True
-        if tok.kind != lexer.LPAREN:
+        if kind != LPAREN or tokens[k + 1].kind != NAME:
             return False
-        k = 1
-        saw_name = False
-        while self._peek(k).kind == lexer.NAME:
-            saw_name = True
+        k += 2
+        while tokens[k].kind == NAME:
             k += 1
-        return saw_name and self._peek(k).kind == lexer.COLON
+        return tokens[k].kind == COLON
 
     def _parse_binder_group(self) -> Binder:
         open_tok = self._advance()
-        hidden = open_tok.kind == lexer.LBRACE
-        close = lexer.RBRACE if hidden else lexer.RPAREN
+        hidden = open_tok.kind == LBRACE
+        close = RBRACE if hidden else RPAREN
         names = [self._expect_name()]
-        while self._peek().kind == lexer.NAME:
+        while self._peek().kind == NAME:
             names.append(self._expect_name())
         seen: set[str] = set()
         for t in names:
             if t.value in seen:
                 raise ParseError(f"repeated binder name {t.value!r}", t.line, t.col)
             seen.add(t.value)
-        self._expect(lexer.COLON)
+        self._expect(COLON)
+        self._nest(open_tok)
         ty = self.parse_type(frozenset())
+        self.depth -= 1
         self._expect(close)
         return Binder([t.value for t in names], ty, hidden, pos=(open_tok.line, open_tok.col))
 
@@ -220,42 +256,42 @@ class Parser:
             binders = [self._parse_binder_group()]
             while self._looks_like_binder():
                 binders.append(self._parse_binder_group())
-            self._expect(lexer.ARROW)
+            self._expect(ARROW)
             inner = bound.union(n for b in binders for n in b.names)
             body = self.parse_type(inner)
             return Quant(binders, body, pos=(start.line, start.col))
 
         operand = self._parse_operand(bound)
-        if self._peek().kind == lexer.ARROW:
-            arrow = self._advance()
+        arrow = self.tokens[self.pos]
+        if arrow.kind == ARROW:
+            self.pos += 1
             cod = self.parse_type(bound)
             return Arrow(operand, cod, pos=(arrow.line, arrow.col))
         return operand
 
     def _parse_operand(self, bound: frozenset[str]) -> TypeExpr:
         lhs = self._parse_apps(bound)
-        if self._peek().kind == lexer.EQEQ:
-            eq = self._advance()
+        eq = self.tokens[self.pos]
+        if eq.kind == EQEQ:
+            self.pos += 1
             rhs = self._parse_apps(bound)
             return Equation(self._to_term(lhs, bound), self._to_term(rhs, bound), pos=(eq.line, eq.col))
         return lhs
 
     def _at_atom_start(self) -> bool:
-        tok = self._peek()
-        if tok.kind == lexer.NAME:
+        tok = self.tokens[self.pos]
+        kind = tok.kind
+        if kind == NAME:
             # a name directly followed by ':' begins the next constr
-            return self._peek(1).kind != lexer.COLON
-        if tok.kind == lexer.KEYWORD and tok.value == "Set":
-            return True
-        if tok.kind == lexer.LPAREN:
+            return self.tokens[self.pos + 1].kind != COLON
+        if kind == LPAREN:
             return not self._looks_like_binder()
-        return False
+        return kind == KEYWORD and tok.value == "Set"
 
     def _parse_apps(self, bound: frozenset[str]) -> TypeExpr:
+        head_tok = self.tokens[self.pos]
         if not self._at_atom_start():
-            tok = self._peek()
-            raise self._error(f"expected a type expression, got {tok.value!r}", tok)
-        head_tok = self._peek()
+            raise self._error(f"expected a type expression, got {head_tok.value!r}", head_tok)
         atoms = [self._parse_atom(bound)]
         while self._at_atom_start():
             atoms.append(self._parse_atom(bound))
@@ -269,18 +305,21 @@ class Parser:
         return TyApp(head.name, atoms[1:], pos=(head_tok.line, head_tok.col))
 
     def _parse_atom(self, bound: frozenset[str]) -> TypeExpr:
-        tok = self._peek()
-        if tok.kind == lexer.NAME:
-            self._advance()
+        tok = self.tokens[self.pos]
+        kind = tok.kind
+        if kind == NAME:
+            self.pos += 1
             return SortRef(tok.value, pos=(tok.line, tok.col))
-        if tok.kind == lexer.KEYWORD and tok.value == "Set":
-            self._advance()
-            return SetKind(pos=(tok.line, tok.col))
-        if tok.kind == lexer.LPAREN:
-            self._advance()
+        if kind == LPAREN:
+            self.pos += 1
+            self._nest(tok)
             inner = self.parse_type(bound)
-            self._expect(lexer.RPAREN)
+            self.depth -= 1
+            self._expect(RPAREN)
             return inner
+        if kind == KEYWORD and tok.value == "Set":
+            self.pos += 1
+            return SetKind(pos=(tok.line, tok.col))
         raise self._error(f"expected a type expression, got {tok.value!r}", tok)
 
     # -- terms ---------------------------------------------------------------------------

@@ -56,6 +56,19 @@ def test_check_parse_error_exits_one(workdir, capsys):
     assert "ParseError" in capsys.readouterr().err
 
 
+def test_deep_nesting_is_a_parse_error_not_a_crash(workdir, capsys):
+    deep = workdir / "deep.eqt"
+    depth = 1500
+    deep.write_text(
+        "record M (A : Set) : Set where\n  field\n    f : " + "(" * depth + "A" + ")" * depth + "\n",
+        encoding="utf-8",
+    )
+    assert main(["check", str(deep)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"{deep}:3:209: ParseError: nesting deeper than 200 levels"]
+
+
 def test_missing_input_file_is_reported(workdir, capsys):
     assert main(["gen", "nope.eqt"]) == 1
     assert main(["lib", "nope.lib"]) == 1
@@ -265,3 +278,53 @@ def test_module_entry_point_runs(tmp_path):
         cwd=Path(theoryforge.__file__).parents[1],
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_leaves_the_engine_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, theoryforge.cli; print('theoryforge.engine' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        cwd=Path(theoryforge.__file__).parents[1],
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_engine_names_are_served_by_the_package():
+    from theoryforge import TOp, normalize
+    from theoryforge import engine
+
+    assert normalize is engine.normalize and TOp is engine.TOp
+    assert all(hasattr(theoryforge, name) for name in theoryforge.__all__)
+    with pytest.raises(AttributeError):
+        theoryforge.no_such_name
+
+
+# -- names the benchmark wraps -------------------------------------------------------
+
+def test_wrapped_names_are_looked_up_at_call_time(workdir, monkeypatch):
+    # the benchmark's traced run replaces these module attributes from outside;
+    # a caller that bound one of them locally would bypass the replacement
+    from theoryforge import cli, combinators, parser
+
+    called: set[str] = set()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            called.add(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    wrapped = [(parser, "tokenize"), (combinators, "tokenize"), (cli, "parse_file"), (cli, "check_module")]
+    for module, attr in wrapped:
+        monkeypatch.setattr(module, attr, counting(f"{module.__name__}.{attr}", getattr(module, attr)))
+    lib = workdir / "small.lib"
+    lib.write_text(
+        "theory Carrier = base { A : Set }\n"
+        "theory Magma = extend Carrier with { op : A → A → A }\n",
+        encoding="utf-8",
+    )
+    assert main(["lib", str(lib), "--out", "out"]) == 0
+    assert called == {f"{module.__name__}.{attr}" for module, attr in wrapped}

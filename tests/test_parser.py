@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from theoryforge.ast import (
@@ -14,8 +16,11 @@ from theoryforge.ast import (
     Sym,
     TyApp,
     Var,
+    arrow_components,
 )
+from theoryforge.checker import check_module
 from theoryforge.parser import ParseError, parse_decl, parse_file
+from theoryforge.printer import print_decl
 
 
 def test_monoid_record_shape(monoid_decl):
@@ -175,3 +180,98 @@ def test_dash_names_lex_correctly():
         "record M (A : Set) : Set where\n  field\n    pres-e : A\n    x' : A"
     )
     assert [f.name for f in d.fields] == ["pres-e", "x'"]
+
+
+# -- pinned error text and positions -------------------------------------------------
+
+_HEADER = "record M (A : Set) : Set where\n  field\n"
+
+
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        (_HEADER + "    f : A -\n", "3:11: unexpected '-'"),
+        (_HEADER + "    op : A - A", "3:12: unexpected '-'"),
+        (_HEADER + "    f : A -", "3:11: unexpected '-'"),
+        (_HEADER + "    ²x : A", "3:5: unexpected character '²'"),
+        ("record M (A : Set) : Set where field op : A → $", "1:47: unexpected character '$'"),
+        (_HEADER + "    f : 0A", "3:9: unexpected character '0'"),
+        (_HEADER + "    f : A\xa0A", "3:10: unexpected character '\\xa0'"),
+        # a trailing comment without a newline: end of input sits where it starts
+        (_HEADER + "    op : A -> -- tail", "3:15: expected a type expression, got ''"),
+        (_HEADER + "    op : A →\n", "4:1: expected a type expression, got ''"),
+        ("data D : Set where\n  c : D D ==", "2:13: expected a type expression, got ''"),
+        ("data D : Set where\n  c : (", "2:8: expected a type expression, got ''"),
+        (_HEADER + "    ax : (A → A) == A", "3:13: expected a term on this side of '=='"),
+        (_HEADER + "    f : {x : A} A", "3:17: expected 'ARROW', got 'A' (expected one of: ARROW)"),
+        (_HEADER + "    f : A\r\n    g : A =",
+         "4:11: expected 'record' or 'data', got '=' (expected one of: data, record)"),
+        ("record M : Set whre", "1:16: expected 'where', got 'whre' (expected one of: where)"),
+        ("record record : Set where", "1:8: expected a name, got 'record' (expected one of: NAME)"),
+        ("record M (A : Set : Set where", "1:19: expected 'RPAREN', got ':' (expected one of: RPAREN)"),
+        ("record M (A A : Set) : Set where", "1:13: repeated binder name 'A'"),
+        ("record M (A : Set) : Set where constructor",
+         "1:43: expected a name, got '' (expected one of: NAME)"),
+        ("junk", "1:1: expected 'record' or 'data', got 'junk' (expected one of: data, record)"),
+    ],
+)
+def test_parse_error_text_and_position_are_pinned(source, message):
+    with pytest.raises(ParseError) as exc:
+        parse_file(source)
+    assert str(exc.value) == message
+
+
+def test_reparsed_library_modules_are_pinned_with_positions():
+    # repr includes every node's source position, so this pins the parser's
+    # trees and positions over the 62 all-seven standard.lib modules
+    from theoryforge.cli import RunConfig, generate_for_theory
+    from theoryforge.combinators import load_library, standard_library_path
+    from theoryforge.generators import GenKind
+
+    cfg = RunConfig(kinds=tuple(GenKind))
+    digest = hashlib.sha256()
+    count = 0
+    for t in load_library(standard_library_path()).theories():
+        digest.update(repr(parse_file(generate_for_theory(t, cfg).module_text)).encode())
+        count += 1
+    assert count == 62
+    assert digest.hexdigest() == "1797adff49ac522b81e08e3e06a2c80014f4e360e1dae3bcd431f42880d0905e"
+
+
+# -- nesting depth ----------------------------------------------------------------
+
+def _nested_parens(depth: int) -> str:
+    return _HEADER + "    f : " + "(" * depth + "A" + ")" * depth + "\n"
+
+
+def _nested_binders(depth: int) -> str:
+    # (x : (x : ... (x : A) → A ...) → A) → A
+    return _HEADER + "    f : " + "(x : " * depth + "A" + ") → A" * depth + "\n"
+
+
+def test_nesting_up_to_the_limit_parses():
+    assert parse_decl(_nested_parens(200)).fields[0].ty == SortRef("A")
+    assert isinstance(parse_decl(_nested_binders(200)).fields[0].ty, Quant)
+
+
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        (_nested_parens(201), "3:209: nesting deeper than 200 levels"),
+        (_nested_binders(201), "3:1009: nesting deeper than 200 levels"),
+    ],
+    ids=["parens", "binders"],
+)
+def test_nesting_past_the_limit_is_a_parse_error(source, message):
+    with pytest.raises(ParseError) as exc:
+        parse_file(source)
+    assert str(exc.value) == message
+
+
+def test_long_arrow_chains_are_not_nesting():
+    chain = " → ".join(["A"] * 901)
+    d = parse_decl(_HEADER + f"    f : {chain}\n")
+    assert len(arrow_components(d.fields[0].ty)) == 901
+    assert check_module([d]) == []
+    # compared as text: == on a 900-deep tree would itself recurse too deep
+    assert print_decl(parse_decl(print_decl(d))) == print_decl(d)
