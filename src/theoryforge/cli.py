@@ -8,14 +8,25 @@ Subcommands:
 
 Exit codes: 0 success, 1 parse failure, 2 check failure, 3 generation or
 expansion failure.  Output is a pure function of the inputs and the run
-configuration.  Theories are generated one after another; ``--jobs`` is
-accepted for compatibility and has no effect.
+configuration.
+
+Each theory goes through one unit of work: generate, print, reparse and
+check the module text, then write its files, which happens only when the
+module checks clean.  With ``--jobs N`` the theories are dealt out in a
+stride over N processes: this process runs theories 0, N, 2N, ... and
+N - 1 forked processes run the rest, each writing its own theories' files
+and sending back a small record per theory.  Records are merged in theory
+order, so standard output, standard error, the exit code and the output
+tree are the same for any N.  A generation or write failure reports the
+first failing theory, the one a serial run stops at; the tree it leaves is
+partial, and with N > 1 may also hold theories after that one.  Without
+``fork`` (or with N = 1) the same unit runs in a plain loop.
 
 Generated layout, per theory: ``<out>/<Theory>/<Theory><Kind>.gen.eqt`` for
 each construction plus ``<out>/<Theory>/module.gen.eqt`` holding the input
 theory, the ``Prod`` helper when the product is selected, and the
 constructions, in catalog order.  Each ``module.gen.eqt`` is reparsed and
-checked as one module before the run reports success.
+checked as one module before any of the theory's files are written.
 
 Defaults may also come from a ``theoryforge.cfg`` file in the working
 directory (line-oriented ``key = value``: ``constructions``, ``out``,
@@ -27,9 +38,12 @@ key, or an ``orient-assoc`` value other than ``1/true/yes/on`` or
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 from pathlib import Path
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .ast import Decl, RecordDecl, is_valid_name
 from .checker import check_module, format_errors
@@ -46,6 +60,9 @@ from .generators import (
 from .parser import ParseError, parse_file
 from .printer import print_decl, print_module
 from .theory import EqTheory, ShapeError, embed, extract
+
+if TYPE_CHECKING:
+    from multiprocessing.connection import Connection
 
 CONFIG_FILE = "theoryforge.cfg"
 CONFIG_KEYS = frozenset({"constructions", "out", "jobs", "orient-assoc"})
@@ -65,6 +82,7 @@ class RunConfig:
     kinds: tuple[GenKind, ...] = DEFAULT_KINDS
     suffixes: dict[GenKind, str] = dc_field(default_factory=lambda: dict(DEFAULT_SUFFIXES))
     out_dir: Path = Path("generated")
+    jobs: int = 1
     force_orient_assoc: bool = False
 
     def validate(self) -> None:
@@ -121,10 +139,11 @@ def build_config(args: argparse.Namespace, cwd: Path | None = None) -> RunConfig
     out = args.out if args.out is not None else cfg_values.get("out")
     if out is not None:
         cfg.out_dir = Path(out)
-    # --jobs is accepted for compatibility and only validated
     jobs = args.jobs if args.jobs is not None else cfg_values.get("jobs")
-    if jobs is not None and int(jobs) < 1:
-        raise ValueError("--jobs must be at least 1")
+    if jobs is not None:
+        cfg.jobs = int(jobs)
+        if cfg.jobs < 1:
+            raise ValueError("--jobs must be at least 1")
     orient = cfg_values.get("orient-assoc")
     if orient is not None:
         cfg.force_orient_assoc = CONFIG_BOOLEANS[orient.lower()]
@@ -158,6 +177,20 @@ class TheoryOutput:
         return 1 + len(self.files)
 
 
+class TheoryRecord(NamedTuple):
+    """What a run keeps of one theory once its files are written."""
+
+    definitions: int
+    lines: int
+    check_lines: list[str]
+    skips: list[str]
+
+
+# a share's records, and the (theory index, message) of the GenError it stopped at
+ShareResult = tuple[list[TheoryRecord], tuple[int, str] | None]
+RunShare = Callable[[int, int], ShareResult]
+
+
 def generate_for_theory(
     t: EqTheory,
     cfg: RunConfig,
@@ -175,8 +208,6 @@ def generate_for_theory(
 
 
 def _write_output(out: TheoryOutput, out_dir: Path) -> None:
-    if not out.files:
-        return
     directory = out_dir / out.name
     directory.mkdir(parents=True, exist_ok=True)
     for filename, text in sorted(out.files.items()):
@@ -185,8 +216,8 @@ def _write_output(out: TheoryOutput, out_dir: Path) -> None:
 
 
 def _check_output_module(out: TheoryOutput, out_dir: Path) -> list[str]:
-    """Reparse the written module text and check it; exercises the print →
-    parse round trip on every run."""
+    """Reparse the module text and check it; exercises the print → parse
+    round trip on every run."""
     filename = str(out_dir / out.name / "module.gen.eqt")
     try:
         decls = parse_file(out.module_text)
@@ -196,29 +227,104 @@ def _check_output_module(out: TheoryOutput, out_dir: Path) -> list[str]:
     return [e.format(filename) for e in errors]
 
 
+def _run_theory(t: EqTheory, decl: Decl | None, cfg: RunConfig, log_skips: bool) -> TheoryRecord:
+    """The per-theory unit: generate, print, reparse and check, then write
+    the files only if the module checks clean."""
+    skips: list[str] = []
+    out = generate_for_theory(t, cfg, decl, skip_log=skips if log_skips else None)
+    check_lines = _check_output_module(out, cfg.out_dir) if out.files else []
+    if out.files and not check_lines:
+        try:
+            _write_output(out, cfg.out_dir)
+        except OSError as e:
+            raise GenError(f"cannot write to {cfg.out_dir}: {e}") from e
+    return TheoryRecord(out.definition_count, out.module_text.count("\n"), check_lines, skips)
+
+
+def _run_share(
+    theories: list[tuple[EqTheory, Decl | None]],
+    cfg: RunConfig,
+    log_skips: bool,
+    start: int,
+    step: int,
+) -> ShareResult:
+    """Run the unit over ``theories[start::step]``, stopping at the first
+    :class:`GenError`."""
+    records: list[TheoryRecord] = []
+    for index in range(start, len(theories), step):
+        t, decl = theories[index]
+        try:
+            records.append(_run_theory(t, decl, cfg, log_skips))
+        except GenError as e:
+            return records, (index, str(e))
+    return records, None
+
+
+def _share_worker(conn: Connection, run_share: RunShare, k: int, n: int) -> None:
+    with conn:
+        conn.send(run_share(k, n))
+
+
+def _run_shares(run_share: RunShare, n: int) -> list[ShareResult]:
+    """Run share ``k`` of ``n`` for every ``k``: share 0 in this process,
+    the others in forked processes, which inherit the theories instead of
+    receiving them pickled."""
+    if n == 1:
+        return [run_share(0, 1)]
+    import multiprocessing
+
+    # fork, not spawn: a spawned worker would import the package again and
+    # receive every theory pickled; the CLI starts no thread, so forking is safe
+    context = multiprocessing.get_context("fork")
+    workers = []
+    try:
+        for k in range(1, n):
+            receiver, sender = context.Pipe(duplex=False)
+            process = context.Process(target=_share_worker, args=(sender, run_share, k, n))
+            process.start()
+            sender.close()
+            workers.append((process, receiver))
+        shares = [run_share(0, n)]
+        for process, receiver in workers:
+            try:
+                shares.append(receiver.recv())
+            except EOFError:
+                process.join()
+                raise RuntimeError(
+                    f"a worker process exited with code {process.exitcode} before reporting"
+                ) from None
+        return shares
+    except BaseException:
+        for process, _ in workers:
+            process.terminate()
+        raise
+    finally:
+        for process, receiver in workers:
+            receiver.close()
+            process.join()
+
+
 def _generate_batch(
     theories: list[tuple[EqTheory, Decl | None]],
     cfg: RunConfig,
-    skip_log: list[str] | None = None,
-) -> tuple[list[TheoryOutput], int]:
-    """Generate, write, and check a list of theories.  Returns the outputs
-    and a process exit code."""
-    outputs = [generate_for_theory(t, cfg, decl, skip_log=skip_log) for t, decl in theories]
+    log_skips: bool = False,
+) -> tuple[list[TheoryRecord], int]:
+    """Generate, check, and write a list of theories on up to ``cfg.jobs``
+    processes.  Returns one record per theory, in theory order, and a
+    process exit code; raises the :class:`GenError` of the first theory
+    that failed, as a serial run would."""
+    n = max(1, min(cfg.jobs, len(theories))) if hasattr(os, "fork") else 1
+    shares = _run_shares(partial(_run_share, theories, cfg, log_skips), n)
+    failures = [failure for _, failure in shares if failure is not None]
+    if failures:
+        raise GenError(min(failures)[1])
+    records = [shares[i % n][0][i // n] for i in range(len(theories))]
 
-    try:
-        for out in outputs:
-            _write_output(out, cfg.out_dir)
-    except OSError as e:
-        raise GenError(f"cannot write to {cfg.out_dir}: {e}") from e
-
-    check_lines: list[str] = []
-    for out in outputs:
-        if out.files:
-            check_lines.extend(_check_output_module(out, cfg.out_dir))
+    check_lines = [line for record in records for line in record.check_lines]
     if check_lines:
         print("\n".join(check_lines))
-        return outputs, EXIT_CHECK
-    return outputs, EXIT_OK
+        return records, EXIT_CHECK
+    return records, EXIT_OK
 
 
 # -- subcommands -------------------------------------------------------------------
@@ -289,19 +395,19 @@ def cmd_lib(path: Path, cfg: RunConfig) -> int:
         return EXIT_GEN
 
     theories: list[tuple[EqTheory, Decl | None]] = [(t, None) for t in library.theories()]
-    skip_log: list[str] = []
     try:
-        outputs, code = _generate_batch(theories, cfg, skip_log=skip_log)
+        records, code = _generate_batch(theories, cfg, log_skips=True)
     except GenError as e:
         print(f"{path}: {e}", file=sys.stderr)
         return EXIT_GEN
-    for line in skip_log:
-        print(line, file=sys.stderr)
+    for record in records:
+        for line in record.skips:
+            print(line, file=sys.stderr)
     if code != EXIT_OK:
         return code
-    definitions = sum(out.definition_count for out in outputs)
-    lines = sum(out.module_text.count("\n") for out in outputs)
-    print(f"theories={len(outputs)} definitions={definitions} lines={lines}")
+    definitions = sum(record.definitions for record in records)
+    lines = sum(record.lines for record in records)
+    print(f"theories={len(records)} definitions={definitions} lines={lines}")
     return EXIT_OK
 
 
@@ -319,7 +425,12 @@ def _add_gen_flags(sub: argparse.ArgumentParser) -> None:
         metavar="KIND=STR",
         help="override a renaming suffix, e.g. --suffix sig=Sg",
     )
-    sub.add_argument("--jobs", type=int, help="accepted for compatibility; has no effect")
+    sub.add_argument(
+        "--jobs",
+        type=int,
+        metavar="N",
+        help="generate on N processes (default 1); the output is the same for any N",
+    )
     sub.add_argument(
         "--orient-assoc",
         action="store_true",

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import multiprocessing
+import os
 import shutil
 import subprocess
 import sys
@@ -212,6 +214,136 @@ def test_lib_accepts_orient_assoc_flag(workdir):
     assert main(["lib", str(lib), "--out", "libout", "--orient-assoc"]) == 0
 
 
+def test_lib_output_and_summary_are_the_same_on_any_number_of_processes(workdir, capsys):
+    # 62 theories split 31/31 over two processes and 21/21/20 over three
+    kinds = "sig,prod,termlang,open-termlang,hom,mono,endo"
+    runs = {}
+    for jobs in ("1", "2", "3"):
+        out = f"out{jobs}"
+        argv = ["lib", str(standard_library_path()), "--constructions", kinds, "--out", out, "--jobs", jobs]
+        assert main(argv) == 0
+        runs[jobs] = (tree_hash(workdir / out), capsys.readouterr())
+        assert multiprocessing.active_children() == []
+    assert runs["1"] == runs["2"] == runs["3"]
+    assert runs["1"][0] == "6c740ad5b1f1bcd0fc60238dc63685454050aab3d5f312f089d29a6e1a75abce"
+    assert runs["1"][1].out == "theories=62 definitions=496 lines=3907\n"
+
+
+def test_lib_skip_lines_come_out_in_theory_order_on_any_number_of_processes(workdir, capsys):
+    # A1 and A2 clash with the hom family's carrier copies A1/A2, so their
+    # hom is skipped; at --jobs 2 the two skips happen in different processes
+    lib = workdir / "clash.lib"
+    lib.write_text(
+        "theory Carrier = base { A : Set }\n"
+        "theory Magma = extend Carrier with { op : A → A → A }\n"
+        "theory A1 = extend Carrier with { op : A → A → A }\n"
+        "theory A2 = extend Magma with { e : A }\n",
+        encoding="utf-8",
+    )
+    runs = []
+    for jobs in ("1", "2", "3"):
+        assert main(["lib", str(lib), "--constructions", "sig,hom", "--out", f"out{jobs}", "--jobs", jobs]) == 0
+        runs.append((tree_hash(workdir / f"out{jobs}"), capsys.readouterr()))
+    assert runs[0] == runs[1] == runs[2]
+    err = runs[0][1].err.splitlines()
+    assert [line.split(":")[0] for line in err] == ["A1", "A2"]
+    assert all("skipped hom" in line for line in err)
+
+
+def _capture_prone(name: str) -> str:
+    # the hom family names its instance parameters <first two letters>1/2,
+    # which captures a field named <name>1 when the name has two letters
+    return f"record {name} (A : Set) : Set where\n  field\n    {name}1 : A → A → A\n"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_gen_writes_no_file_of_a_theory_whose_module_fails_its_check(workdir, capsys, jobs):
+    # at --jobs 2, Mo is the second theory and runs in a forked process
+    source = workdir / "mo.eqt"
+    monoid = (DATA / "monoid.eqt").read_text(encoding="utf-8")
+    source.write_text(monoid + "\n" + _capture_prone("Mo"), encoding="utf-8")
+    assert main(["gen", str(source), "--constructions", "hom,endo", "--out", "out", "--jobs", jobs]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        "out/Mo/module.gen.eqt:10:43: ArityMismatch: 'Mo1' expects 0 argument(s), got 3",
+        "out/Mo/module.gen.eqt:10:61: ArityMismatch: 'Mo1' expects 0 argument(s), got 3",
+        "out/Mo/module.gen.eqt:16:45: ArityMismatch: 'Mo1' expects 0 argument(s), got 3",
+        "out/Mo/module.gen.eqt:16:63: ArityMismatch: 'Mo1' expects 0 argument(s), got 3",
+    ]
+    assert captured.err == ""
+    assert not (workdir / "out" / "Mo").exists()
+    assert sorted(p.name for p in (workdir / "out" / "Monoid").iterdir()) == [
+        "MonoidEnd.gen.eqt", "MonoidHom.gen.eqt", "module.gen.eqt",
+    ]
+
+
+def test_gen_check_failures_print_the_same_on_any_number_of_processes(workdir, capsys):
+    monoid = (DATA / "monoid.eqt").read_text(encoding="utf-8")
+    source = workdir / "caps.eqt"
+    records = [_capture_prone("Mo"), _capture_prone("Qu"), monoid, _capture_prone("Ri")]
+    source.write_text("\n".join(records), encoding="utf-8")
+    runs = []
+    for jobs in ("1", "2", "3"):
+        assert main(["gen", str(source), "--constructions", "hom,endo", "--out", "out", "--jobs", jobs]) == 2
+        assert sorted(p.name for p in (workdir / "out").iterdir()) == ["Monoid"]
+        runs.append((tree_hash(workdir / "out"), capsys.readouterr()))
+        shutil.rmtree(workdir / "out")
+    assert runs[0] == runs[1] == runs[2]
+    out = runs[0][1].out.splitlines()
+    assert [line.split("/")[1] for line in out] == ["Mo"] * 4 + ["Qu"] * 4 + ["Ri"] * 4
+
+
+def test_gen_failure_names_the_first_failing_theory_on_any_number_of_processes(workdir, capsys):
+    # A1 and A2 cannot get a hom; at --jobs 2 A2 (index 2) fails in this
+    # process and A1 (index 1) in the forked one, and A1 is reported
+    def clash(name: str) -> str:
+        return f"record {name} (A : Set) : Set where\n  field\n    op{name} : A → A → A\n"
+
+    monoid = (DATA / "monoid.eqt").read_text(encoding="utf-8")
+    source = workdir / "clash.eqt"
+    source.write_text("\n".join([monoid, clash("A1"), clash("A2")]), encoding="utf-8")
+    errors = []
+    for jobs in ("1", "2"):
+        assert main(["gen", str(source), "--out", f"out{jobs}", "--jobs", jobs]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.append(captured.err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith(f"{source}: A1: generated names")
+    assert multiprocessing.active_children() == []
+
+
+def test_out_on_a_regular_file_fails_the_same_on_any_number_of_processes(workdir, capsys):
+    (workdir / "taken").write_text("", encoding="utf-8")
+    errors = []
+    for jobs in ("1", "2"):
+        assert main(["lib", str(standard_library_path()), "--out", "taken", "--jobs", jobs]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.append(captured.err)
+        assert multiprocessing.active_children() == []
+    assert errors[0] == errors[1]
+    assert errors[0].startswith(f"{standard_library_path()}: cannot write to taken: ")
+    assert errors[0].count("\n") == 1
+
+
+def test_a_worker_that_dies_is_an_error_and_leaves_no_child_behind(workdir, monkeypatch):
+    from theoryforge import cli
+
+    main_pid = os.getpid()
+    run_theory = cli._run_theory
+
+    def dying(*args):
+        if os.getpid() != main_pid:
+            os._exit(7)
+        return run_theory(*args)
+
+    monkeypatch.setattr(cli, "_run_theory", dying)
+    with pytest.raises(RuntimeError, match="exited with code 7"):
+        main(["lib", str(standard_library_path()), "--out", "out", "--jobs", "3"])
+    assert multiprocessing.active_children() == []
+
+
 # -- config file -----------------------------------------------------------------------
 
 def test_config_file_supplies_defaults(workdir, capsys):
@@ -248,6 +380,21 @@ def test_config_file_jobs_must_be_an_integer(workdir, capsys):
     assert not (workdir / "generated").exists()
 
 
+def test_config_file_supplies_jobs_and_the_flag_wins(workdir):
+    import argparse
+
+    from theoryforge.cli import build_config
+
+    (workdir / "theoryforge.cfg").write_text("jobs = 3\n", encoding="utf-8")
+    ns = argparse.Namespace(constructions=None, out=None, suffix=None, jobs=None, orient_assoc=False)
+    assert build_config(ns, cwd=workdir).jobs == 3
+    ns.jobs = 2
+    assert build_config(ns, cwd=workdir).jobs == 2
+    (workdir / "theoryforge.cfg").unlink()
+    ns.jobs = None
+    assert build_config(ns, cwd=workdir).jobs == 1
+
+
 def test_config_file_rejects_misspelt_orient_assoc(workdir, capsys):
     copy_fixture("monoid.eqt", workdir)
     (workdir / "theoryforge.cfg").write_text("orient-assoc = ture\n", encoding="utf-8")
@@ -278,6 +425,26 @@ def test_module_entry_point_runs(tmp_path):
         cwd=Path(theoryforge.__file__).parents[1],
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_and_a_serial_run_leave_the_process_machinery_unloaded(tmp_path):
+    lib = tmp_path / "one.lib"
+    lib.write_text("theory Carrier = base { A : Set }\n", encoding="utf-8")
+    script = (
+        "import sys, theoryforge.cli\n"
+        "heavy = ('multiprocessing', 'concurrent.futures')\n"
+        "print([m for m in heavy if m in sys.modules])\n"
+        f"code = theoryforge.cli.main(['lib', {str(lib)!r}, '--out', {str(tmp_path / 'out')!r}, '--jobs', '1'])\n"
+        "print(code, [m for m in heavy if m in sys.modules])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        cwd=Path(theoryforge.__file__).parents[1],
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "theories=1 definitions=5 lines=21", "0 []"]
 
 
 def test_cli_import_leaves_the_engine_unloaded():
