@@ -199,20 +199,35 @@ def generate_for_theory(
 ) -> TheoryOutput:
     """Produce the per-theory output files.  Pure; does not touch disk."""
     constructions = gen_all(t, cfg.kinds, cfg.suffixes, skip_log=skip_log)
-    files = {f"{d.name}.gen.eqt": print_decl(d) + "\n" for d in constructions}
-    module: list[Decl] = [source_decl if source_decl is not None else embed(t)]
+    printed = [print_decl(d) + "\n" for d in constructions]
+    files = {f"{d.name}.gen.eqt": text for d, text in zip(constructions, printed)}
+    head: list[Decl] = [source_decl if source_decl is not None else embed(t)]
     if GenKind.PRODUCT in cfg.kinds:
-        module.append(prod_decl())
-    module.extend(constructions)
-    return TheoryOutput(t.name, files, print_module(module))
+        head.append(prod_decl())
+    # the text print_module gives for head + constructions, with each
+    # construction printed once for its own file and for the module
+    module_text = print_module(head) + "".join("\n" + text for text in printed)
+    return TheoryOutput(t.name, files, module_text)
+
+
+def _write_file(path: str, text: str) -> None:
+    """Write ``text`` as UTF-8 (its line endings are LF already), in one
+    system call unless the kernel takes less."""
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        while data:
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
 
 
 def _write_output(out: TheoryOutput, out_dir: Path) -> None:
-    directory = out_dir / out.name
-    directory.mkdir(parents=True, exist_ok=True)
+    directory = os.path.join(out_dir, out.name)
+    os.makedirs(directory, exist_ok=True)
     for filename, text in sorted(out.files.items()):
-        (directory / filename).write_text(text, encoding="utf-8", newline="\n")
-    (directory / "module.gen.eqt").write_text(out.module_text, encoding="utf-8", newline="\n")
+        _write_file(os.path.join(directory, filename), text)
+    _write_file(os.path.join(directory, "module.gen.eqt"), out.module_text)
 
 
 def _check_output_module(out: TheoryOutput, out_dir: Path) -> list[str]:

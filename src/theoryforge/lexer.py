@@ -5,10 +5,14 @@ identifier only when followed by another identifier character; at token start
 ``--`` opens a comment running to end of line and ``->`` is the ASCII arrow.
 The Unicode arrow ``→`` is accepted everywhere ``->`` is.
 
-One compiled master regex scans the source line by line; the number of the
-alternative that matched picks the token kind, and the column is the match
-offset in its line.  Tokens are named tuples ``(kind, value, line, col)``,
-and the list always ends with one ``EOF`` token.
+One compiled regex splits the whole source with ``findall`` into items
+that cover every character: a token with the spaces after it, a newline
+with the indentation after it, a comment, or the spaces that open the
+source.  A dict lookup on the item's text gives its kind; each distinct
+item is classified once per source, so the loop does no regex or character
+work per token.  Lines and columns are counted from the item lengths.
+Tokens are named tuples ``(kind, value, line, col)``, and the list always
+ends with one ``EOF`` token.
 """
 
 from __future__ import annotations
@@ -61,19 +65,45 @@ class Token(NamedTuple):
         return f"Token({self.kind}, {self.value!r}, {self.line}:{self.col})"
 
 
-# Alternatives in priority order; their group numbers are the _COMMENT ...
-# constants below.  Spaces, tabs and carriage returns match nothing and are
-# skipped; any other character matches at least the catch-all.
-_TOKEN_RE = re.compile(
-    r"(--.*)"                        # comment, to end of line
-    r"|(->|→)"                       # arrow
-    r"|(==)"
-    r"|(=)"
-    r"|([(){}:,])"
-    r"|([^\W\d][\w']*(?:-[\w']+)*)"  # name or keyword
-    r"|([^ \t\r])"                   # anything else is an error
+# Token alternatives in priority order, each with the spaces, tabs and
+# carriage returns after it; the catch-all takes any other single
+# character, which is an error.
+_ITEM_RE = re.compile(
+    r"(?:--.*"                      # comment, to end of line
+    r"|->|→|==|=|[(){}:,]"
+    r"|[^\W\d][\w']*(?:-[\w']+)*"   # name or keyword
+    r"|[ \t\r]+"                    # spaces that open the source
+    r"|.)[ \t\r]*"
+    r"|\n[ \t\r]*"                  # newline and indentation
 )
-_COMMENT, _ARROW, _EQEQ, _EQ, _SINGLE, _NAME = range(1, 7)
+
+_FIXED = {**_SINGLES, "->": ARROW, "→": ARROW, "==": EQEQ, "=": EQ}
+
+# kinds of the items that are not tokens; their entries carry no value
+_SPACE = "SPACE"
+_NEWLINE = "NEWLINE"
+_COMMENT = "COMMENT"
+
+
+def _classify(item: str, line: int, col: int) -> tuple[str, str | None]:
+    """``(kind, token value)`` of an item not seen before in this source."""
+    if item[0] == "\n":
+        return _NEWLINE, None
+    text = item.rstrip(" \t\r")
+    if not text:
+        return _SPACE, None
+    kind = _FIXED.get(text)
+    if kind is not None:
+        return kind, "→" if kind is ARROW else text
+    c = text[0]
+    if c == "-":
+        if text == "-":
+            raise LexError("unexpected '-'", line, col)
+        return _COMMENT, None
+    # [^\W\d] also admits numeric non-digits such as '²'
+    if c.isalpha() or c == "_":
+        return KEYWORD if text in RESERVED_WORDS else NAME, text
+    raise LexError(f"unexpected character {c!r}", line, col)
 
 
 def tokenize(source: str) -> list[Token]:
@@ -81,36 +111,26 @@ def tokenize(source: str) -> list[Token]:
     append = tokens.append
     # builds each Token without the Python-level NamedTuple constructor
     new = tuple.__new__
+    # each distinct item of this source is classified once
+    seen: dict[str, tuple[str, str | None]] = {}
+    known = seen.get
     line = col = 1
-    for line, text in enumerate(source.split("\n"), 1):
-        col = len(text) + 1
-        for m in _TOKEN_RE.finditer(text):
-            group = m.lastindex
-            start = m.start() + 1
-            if group == _NAME:
-                value = m.group()
-                c = value[0]
-                # [^\W\d] also admits numeric non-digits such as '²'
-                if not (c.isalpha() or c == "_"):
-                    raise LexError(f"unexpected character {c!r}", line, start)
-                kind = KEYWORD if value in RESERVED_WORDS else NAME
-                append(new(Token, (kind, value, line, start)))
-            elif group == _SINGLE:
-                value = m.group()
-                append(new(Token, (_SINGLES[value], value, line, start)))
-            elif group == _ARROW:
-                append(new(Token, (ARROW, "→", line, start)))
-            elif group == _COMMENT:
-                # the comment runs to end of line; end of input after it
-                # sits where it starts
-                col = start
-            elif group == _EQEQ:
-                append(new(Token, (EQEQ, "==", line, start)))
-            elif group == _EQ:
-                append(new(Token, (EQ, "=", line, start)))
-            else:
-                c = m.group()
-                raise LexError("unexpected '-'" if c == "-" else f"unexpected character {c!r}", line, start)
+    for item in _ITEM_RE.findall(source):
+        entry = known(item)
+        if entry is None:
+            entry = seen[item] = _classify(item, line, col)
+        kind, value = entry
+        if value is None:
+            if kind is _NEWLINE:
+                line += 1
+                col = len(item)
+            elif kind is _SPACE:
+                col += len(item)
+            # a comment runs to end of line; end of input after it sits
+            # where it starts
+            continue
+        append(new(Token, (kind, value, line, col)))
+        col += len(item)
     append(new(Token, (EOF, "", line, col)))
     return tokens
 

@@ -20,7 +20,9 @@ Layout is free-form: a constr ends exactly where the next ``NAME ":"`` pair
 run to end of line.  Inside an equation both sides are terms; names bound by
 the enclosing quantifier parse as variables and everything else as symbols.
 
-Every node carries its source position.  If the record header omits the
+Every node carries its source position, the token's ``(line, col)``, passed
+as the last positional argument: a keyword argument costs more per node, and
+building nodes is a large share of parsing.  If the record header omits the
 ``constructor`` clause the declaration still gets one, named after the record
 with a ``C`` appended, so printing always round-trips.
 
@@ -28,8 +30,11 @@ The parser pads the token list it is given with two extra ``EOF`` tokens,
 so lookahead is plain indexing: no lookahead the grammar needs can run past
 the end.  Parentheses and binder groups may nest at most ``MAX_NESTING``
 levels deep; deeper input is a ``ParseError`` at the opening token, before
-the recursion could exhaust the interpreter's stack.  Arrow chains do not
-count as nesting.
+the recursion could exhaust the interpreter's stack.  ``parse_type`` folds
+quantifier and arrow chains in a loop and ``_parse_apps`` parses atoms
+inline, so a chain costs no recursion and each level of nesting costs two
+frames (``parse_type`` and ``_parse_apps``, or ``parse_type`` and
+``_parse_binder_group``).  Arrow chains do not count as nesting.
 """
 
 from __future__ import annotations
@@ -120,7 +125,9 @@ class Parser:
         return ParseError(message, tok.line, tok.col, expected)
 
     def _expect(self, kind: str, value: str | None = None) -> Token:
-        tok = self._peek()
+        """Consume the current token if it has ``kind`` (and ``value``);
+        ``kind`` is never ``EOF``, so this never moves past the end."""
+        tok = self.tokens[self.pos]
         if tok.kind != kind or (value is not None and tok.value != value):
             want = value if value is not None else kind
             raise self._error(
@@ -128,16 +135,18 @@ class Parser:
                 tok,
                 expected=(want,),
             )
-        return self._advance()
+        self.pos += 1
+        return tok
 
     def _expect_keyword(self, word: str) -> Token:
         return self._expect(KEYWORD, word)
 
     def _expect_name(self) -> Token:
-        tok = self._peek()
+        tok = self.tokens[self.pos]
         if tok.kind != NAME:
             raise self._error(f"expected a name, got {tok.value!r}", tok, expected=(NAME,))
-        return self._advance()
+        self.pos += 1
+        return tok
 
     # -- entry points ----------------------------------------------------------
 
@@ -178,7 +187,7 @@ class Parser:
         if tok.kind == KEYWORD and tok.value == "field":
             self._advance()
             fields = self._parse_constr_block()
-        return RecordDecl(name.value, params, ctor_name, fields, pos=(start.line, start.col))
+        return RecordDecl(name.value, params, ctor_name, fields, start[2:])
 
     def _parse_data(self) -> DataDecl:
         start = self._expect_keyword("data")
@@ -188,7 +197,7 @@ class Parser:
         self._expect_keyword("Set")
         self._expect_keyword("where")
         ctors = self._parse_constr_block()
-        return DataDecl(name.value, params, ctors, pos=(start.line, start.col))
+        return DataDecl(name.value, params, ctors, start[2:])
 
     def at_constr_start(self) -> bool:
         return self._peek().kind == NAME and self._peek(1).kind == COLON
@@ -203,16 +212,15 @@ class Parser:
         name = self._expect_name()
         self._expect(COLON)
         ty = self.parse_type(frozenset())
-        return Constr(name.value, ty, pos=(name.line, name.col))
+        return Constr(name.value, ty, name[2:])
 
     # -- binders --------------------------------------------------------------------
 
-    def _looks_like_binder(self) -> bool:
-        """True when the upcoming tokens open a binder group:
+    def _binder_at(self, k: int) -> bool:
+        """True when the tokens from index ``k`` open a binder group:
         ``{`` always does in type position; ``(`` only if followed by
         one or more names and a colon."""
         tokens = self.tokens
-        k = self.pos
         kind = tokens[k].kind
         if kind == LBRACE:
             return True
@@ -224,12 +232,16 @@ class Parser:
         return tokens[k].kind == COLON
 
     def _parse_binder_group(self) -> Binder:
-        open_tok = self._advance()
+        """A binder group; the caller has seen it open at the current token."""
+        tokens = self.tokens
+        open_tok = tokens[self.pos]
+        self.pos += 1
         hidden = open_tok.kind == LBRACE
         close = RBRACE if hidden else RPAREN
         names = [self._expect_name()]
-        while self._peek().kind == NAME:
-            names.append(self._expect_name())
+        while tokens[self.pos].kind == NAME:
+            names.append(tokens[self.pos])
+            self.pos += 1
         seen: set[str] = set()
         for t in names:
             if t.value in seen:
@@ -240,100 +252,111 @@ class Parser:
         ty = self.parse_type(frozenset())
         self.depth -= 1
         self._expect(close)
-        return Binder([t.value for t in names], ty, hidden, pos=(open_tok.line, open_tok.col))
+        return Binder([t.value for t in names], ty, hidden, open_tok[2:])
 
     def _parse_binders(self) -> list[Binder]:
         binders: list[Binder] = []
-        while self._looks_like_binder():
+        while self._binder_at(self.pos):
             binders.append(self._parse_binder_group())
         return binders
 
     # -- type expressions --------------------------------------------------------------
 
     def parse_type(self, bound: frozenset[str]) -> TypeExpr:
-        if self._looks_like_binder():
-            start = self._peek()
-            binders = [self._parse_binder_group()]
-            while self._looks_like_binder():
-                binders.append(self._parse_binder_group())
-            self._expect(ARROW)
-            inner = bound.union(n for b in binders for n in b.names)
-            body = self.parse_type(inner)
-            return Quant(binders, body, pos=(start.line, start.col))
-
-        operand = self._parse_operand(bound)
-        arrow = self.tokens[self.pos]
-        if arrow.kind == ARROW:
+        """Parse a typeExpr.  Quantifiers and arrows are collected in a loop
+        and built right to left, so a chain of them costs no recursion; a
+        parenthesised type costs two frames, this one and ``_parse_apps``."""
+        tokens = self.tokens
+        # (node class, binders or domain, position) of each quantifier or
+        # arrow, outermost first
+        links: list[tuple[type, object, tuple[int, int]]] = []
+        while True:
+            tok = tokens[self.pos]
+            kind = tok.kind
+            if kind == NAME:
+                after = tokens[self.pos + 1]
+                if after.kind == ARROW:
+                    # the commonest operand, a lone name before an arrow
+                    links.append((Arrow, SortRef(tok.value, tok[2:]), after[2:]))
+                    self.pos += 2
+                    continue
+            elif (kind == LPAREN or kind == LBRACE) and self._binder_at(self.pos):
+                binders = [self._parse_binder_group()]
+                while self._binder_at(self.pos):
+                    binders.append(self._parse_binder_group())
+                self._expect(ARROW)
+                bound = bound.union(n for b in binders for n in b.names)
+                links.append((Quant, binders, tok[2:]))
+                continue
+            ty = self._parse_apps(bound)
+            eq = tokens[self.pos]
+            if eq.kind == EQEQ:
+                self.pos += 1
+                rhs = self._parse_apps(bound)
+                ty = Equation(self._to_term(ty, bound), self._to_term(rhs, bound), eq[2:])
+            arrow = tokens[self.pos]
+            if arrow.kind != ARROW:
+                break
             self.pos += 1
-            cod = self.parse_type(bound)
-            return Arrow(operand, cod, pos=(arrow.line, arrow.col))
-        return operand
-
-    def _parse_operand(self, bound: frozenset[str]) -> TypeExpr:
-        lhs = self._parse_apps(bound)
-        eq = self.tokens[self.pos]
-        if eq.kind == EQEQ:
-            self.pos += 1
-            rhs = self._parse_apps(bound)
-            return Equation(self._to_term(lhs, bound), self._to_term(rhs, bound), pos=(eq.line, eq.col))
-        return lhs
-
-    def _at_atom_start(self) -> bool:
-        tok = self.tokens[self.pos]
-        kind = tok.kind
-        if kind == NAME:
-            # a name directly followed by ':' begins the next constr
-            return self.tokens[self.pos + 1].kind != COLON
-        if kind == LPAREN:
-            return not self._looks_like_binder()
-        return kind == KEYWORD and tok.value == "Set"
+            links.append((Arrow, ty, arrow[2:]))
+        for node, first, pos in reversed(links):
+            ty = node(first, ty, pos)
+        return ty
 
     def _parse_apps(self, bound: frozenset[str]) -> TypeExpr:
-        head_tok = self.tokens[self.pos]
-        if not self._at_atom_start():
-            raise self._error(f"expected a type expression, got {head_tok.value!r}", head_tok)
-        atoms = [self._parse_atom(bound)]
-        while self._at_atom_start():
-            atoms.append(self._parse_atom(bound))
+        """``atom+``; atoms are parsed here, a parenthesised one through
+        ``parse_type``."""
+        tokens = self.tokens
+        k = self.pos
+        head_tok = tokens[k]
+        atoms: list[TypeExpr] = []
+        while True:
+            tok = tokens[k]
+            kind = tok.kind
+            if kind == NAME:
+                # a name directly followed by ':' begins the next constr
+                if tokens[k + 1].kind == COLON:
+                    break
+                atoms.append(SortRef(tok.value, tok[2:]))
+                k += 1
+            elif kind == LPAREN:
+                if self._binder_at(k):
+                    break
+                self.pos = k + 1
+                self._nest(tok)
+                atoms.append(self.parse_type(bound))
+                self.depth -= 1
+                self._expect(RPAREN)
+                k = self.pos
+            elif kind == KEYWORD and tok.value == "Set":
+                atoms.append(SetKind(tok[2:]))
+                k += 1
+            else:
+                break
+        self.pos = k
         if len(atoms) == 1:
             return atoms[0]
+        if not atoms:
+            raise self._error(f"expected a type expression, got {head_tok.value!r}", head_tok)
         head = atoms[0]
-        if not isinstance(head, SortRef):
-            raise ParseError(
-                "application head must be a name", head_tok.line, head_tok.col
-            )
-        return TyApp(head.name, atoms[1:], pos=(head_tok.line, head_tok.col))
-
-    def _parse_atom(self, bound: frozenset[str]) -> TypeExpr:
-        tok = self.tokens[self.pos]
-        kind = tok.kind
-        if kind == NAME:
-            self.pos += 1
-            return SortRef(tok.value, pos=(tok.line, tok.col))
-        if kind == LPAREN:
-            self.pos += 1
-            self._nest(tok)
-            inner = self.parse_type(bound)
-            self.depth -= 1
-            self._expect(RPAREN)
-            return inner
-        if kind == KEYWORD and tok.value == "Set":
-            self.pos += 1
-            return SetKind(pos=(tok.line, tok.col))
-        raise self._error(f"expected a type expression, got {tok.value!r}", tok)
+        if type(head) is not SortRef:
+            raise ParseError("application head must be a name", head_tok.line, head_tok.col)
+        return TyApp(head.name, atoms[1:], head_tok[2:])
 
     # -- terms ---------------------------------------------------------------------------
 
     def _to_term(self, ty: TypeExpr, bound: frozenset[str]) -> Term:
         """Reinterpret a parsed type expression as an equation-side term."""
-        if isinstance(ty, SortRef):
-            node: Term = Var(ty.name, pos=ty.pos) if ty.name in bound else Sym(ty.name, pos=ty.pos)
-            return node
-        if isinstance(ty, TyApp):
-            head: Term = Var(ty.head, pos=ty.pos) if ty.head in bound else Sym(ty.head, pos=ty.pos)
-            t: Term = head
+        if type(ty) is SortRef:
+            return (Var if ty.name in bound else Sym)(ty.name, ty.pos)
+        if type(ty) is TyApp:
+            pos = ty.pos
+            t: Term = (Var if ty.head in bound else Sym)(ty.head, pos)
             for arg in ty.args:
-                t = App(t, self._to_term(arg, bound), pos=ty.pos)
+                if type(arg) is SortRef:
+                    t = App(t, (Var if arg.name in bound else Sym)(arg.name, arg.pos), pos)
+                else:
+                    t = App(t, self._to_term(arg, bound), pos)
             return t
         pos = getattr(ty, "pos", None) or (0, 0)
         raise ParseError("expected a term on this side of '=='", pos[0], pos[1])

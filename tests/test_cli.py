@@ -109,6 +109,22 @@ def test_gen_is_byte_identical_across_reruns(workdir):
     assert tree_hash(workdir / "out") == first
 
 
+def test_written_files_are_utf8_with_lf_and_replace_longer_files(workdir):
+    path = copy_fixture("monoid.eqt", workdir)
+    assert main(["gen", str(path), "--out", "out"]) == 0
+    first = tree_hash(workdir / "out")
+    files = sorted(p for p in (workdir / "out").rglob("*") if p.is_file())
+    assert "→".encode("utf-8") in (workdir / "out" / "Monoid" / "module.gen.eqt").read_bytes()
+    for p in files:
+        data = p.read_bytes()
+        data.decode("utf-8")
+        assert b"\r" not in data and data.endswith(b"\n")
+        # a longer file left from an earlier run must not keep its tail
+        p.write_bytes(data * 3)
+    assert main(["gen", str(path), "--out", "out"]) == 0
+    assert tree_hash(workdir / "out") == first
+
+
 def test_gen_rejects_non_theory_input(workdir, capsys):
     bad = workdir / "data.eqt"
     bad.write_text("data D : Set where\n", encoding="utf-8")
@@ -493,5 +509,36 @@ def test_wrapped_names_are_looked_up_at_call_time(workdir, monkeypatch):
         "theory Magma = extend Carrier with { op : A → A → A }\n",
         encoding="utf-8",
     )
+    assert main(["lib", str(lib), "--out", "out"]) == 0
+    assert called == {f"{module.__name__}.{attr}" for module, attr in wrapped}
+
+
+def test_lib_run_calls_every_name_the_traced_benchmark_requires(workdir, monkeypatch):
+    # the traced lib run of the benchmark (LIB_SPANS in perfbench/run.py)
+    # fails unless each of these wrapped names records a span
+    from theoryforge import cli, combinators
+
+    called: set[str] = set()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            called.add(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    wrapped = [
+        (cli, "load_library"),
+        (combinators, "parse_library"),
+        (combinators, "expand_library"),
+        (cli, "gen_all"),
+        (cli, "print_decl"),
+        (cli, "print_module"),
+        (cli, "embed"),
+    ]
+    for module, attr in wrapped:
+        monkeypatch.setattr(module, attr, counting(f"{module.__name__}.{attr}", getattr(module, attr)))
+    lib = workdir / "small.lib"
+    lib.write_text("theory Carrier = base { A : Set }\n", encoding="utf-8")
     assert main(["lib", str(lib), "--out", "out"]) == 0
     assert called == {f"{module.__name__}.{attr}" for module, attr in wrapped}

@@ -3,23 +3,44 @@ from __future__ import annotations
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from theoryforge.ast import (
+    App,
     Arrow,
     Binder,
+    Constr,
     DataDecl,
+    Decl,
     Equation,
     Quant,
     RecordDecl,
     SetKind,
     SortRef,
     Sym,
+    Term,
     TyApp,
+    TypeExpr,
     Var,
     arrow_components,
 )
 from theoryforge.checker import check_module
-from theoryforge.parser import ParseError, parse_decl, parse_file
+from theoryforge.lexer import (
+    ARROW,
+    COLON,
+    EOF,
+    EQEQ,
+    KEYWORD,
+    LBRACE,
+    LPAREN,
+    NAME,
+    RBRACE,
+    RPAREN,
+    Token,
+    tokenize,
+)
+from theoryforge.parser import MAX_NESTING, ParseError, Parser, parse_decl, parse_file
 from theoryforge.printer import print_decl
 
 
@@ -275,3 +296,344 @@ def test_long_arrow_chains_are_not_nesting():
     assert check_module([d]) == []
     # compared as text: == on a 900-deep tree would itself recurse too deep
     assert print_decl(parse_decl(print_decl(d))) == print_decl(d)
+
+
+def _nested_arrows(depth: int) -> str:
+    # A → (A → (... (A → A) ...))
+    return _HEADER + "    f : " + "A → (" * depth + "A" + ")" * depth + "\n"
+
+
+def test_arrows_nested_in_parens_up_to_the_limit_parse_check_and_reprint():
+    d = parse_decl(_nested_arrows(200))
+    assert len(arrow_components(d.fields[0].ty)) == 201
+    assert check_module([d]) == []
+    text = print_decl(d)
+    # compared as text: == on a 200-deep tree recurses once per level
+    assert print_decl(parse_decl(text)) == text
+
+
+def test_arrows_nested_in_parens_past_the_limit_are_a_parse_error():
+    with pytest.raises(ParseError) as exc:
+        parse_file(_nested_arrows(201))
+    # at the 201st opening paren: "    f : " is 8 columns and each "A → (" 5 more
+    assert str(exc.value) == f"3:{8 + 5 * 201}: nesting deeper than 200 levels"
+
+
+# -- oracle: the recursive-descent parser the loop-folding one replaced ----------------
+
+
+class _ReferenceParser:
+    def __init__(self, tokens: list[Token]):
+        # the list ends in EOF and ``pos`` never moves past it; with two more
+        # EOFs, ``_peek(1)`` and ``_peek(2)`` read EOF there.  Padding in
+        # place spares a copy of the list, which showed in peak memory
+        tokens.extend([tokens[-1]] * 2)
+        self.tokens = tokens
+        self.pos = 0
+        self.depth = 0
+
+    # -- token plumbing ------------------------------------------------------
+
+    def _peek(self, k: int = 0) -> Token:
+        return self.tokens[self.pos + k]
+
+    def _advance(self) -> Token:
+        tok = self.tokens[self.pos]
+        if tok.kind != EOF:
+            self.pos += 1
+        return tok
+
+    def _nest(self, open_tok: Token) -> None:
+        """Enter one more level of parentheses or binder group; the caller
+        lowers ``depth`` again when the level is closed."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", open_tok.line, open_tok.col)
+        self.depth += 1
+
+    def _error(self, message: str, tok: Token | None = None, expected: tuple[str, ...] = ()) -> ParseError:
+        tok = tok or self._peek()
+        return ParseError(message, tok.line, tok.col, expected)
+
+    def _expect(self, kind: str, value: str | None = None) -> Token:
+        tok = self._peek()
+        if tok.kind != kind or (value is not None and tok.value != value):
+            want = value if value is not None else kind
+            raise self._error(
+                f"expected {want!r}, got {tok.value!r}" if tok.value else f"expected {want!r}, got end of input",
+                tok,
+                expected=(want,),
+            )
+        return self._advance()
+
+    def _expect_keyword(self, word: str) -> Token:
+        return self._expect(KEYWORD, word)
+
+    def _expect_name(self) -> Token:
+        tok = self._peek()
+        if tok.kind != NAME:
+            raise self._error(f"expected a name, got {tok.value!r}", tok, expected=(NAME,))
+        return self._advance()
+
+    # -- entry points ----------------------------------------------------------
+
+    def parse_file(self) -> list[Decl]:
+        decls: list[Decl] = []
+        while self._peek().kind != EOF:
+            decls.append(self.parse_decl())
+        return decls
+
+    def parse_decl(self) -> Decl:
+        tok = self._peek()
+        if tok.kind == KEYWORD and tok.value == "record":
+            return self._parse_record()
+        if tok.kind == KEYWORD and tok.value == "data":
+            return self._parse_data()
+        raise self._error(
+            f"expected 'record' or 'data', got {tok.value!r}", tok, expected=("record", "data")
+        )
+
+    # -- declarations ------------------------------------------------------------
+
+    def _parse_record(self) -> RecordDecl:
+        start = self._expect_keyword("record")
+        name = self._expect_name()
+        params = self._parse_binders()
+        self._expect(COLON)
+        self._expect_keyword("Set")
+        self._expect_keyword("where")
+
+        ctor_name = name.value + "C"
+        tok = self._peek()
+        if tok.kind == KEYWORD and tok.value == "constructor":
+            self._advance()
+            ctor_name = self._expect_name().value
+
+        fields: list[Constr] = []
+        tok = self._peek()
+        if tok.kind == KEYWORD and tok.value == "field":
+            self._advance()
+            fields = self._parse_constr_block()
+        return RecordDecl(name.value, params, ctor_name, fields, pos=(start.line, start.col))
+
+    def _parse_data(self) -> DataDecl:
+        start = self._expect_keyword("data")
+        name = self._expect_name()
+        params = self._parse_binders()
+        self._expect(COLON)
+        self._expect_keyword("Set")
+        self._expect_keyword("where")
+        ctors = self._parse_constr_block()
+        return DataDecl(name.value, params, ctors, pos=(start.line, start.col))
+
+    def at_constr_start(self) -> bool:
+        return self._peek().kind == NAME and self._peek(1).kind == COLON
+
+    def _parse_constr_block(self) -> list[Constr]:
+        constrs: list[Constr] = []
+        while self.at_constr_start():
+            constrs.append(self.parse_constr())
+        return constrs
+
+    def parse_constr(self) -> Constr:
+        name = self._expect_name()
+        self._expect(COLON)
+        ty = self.parse_type(frozenset())
+        return Constr(name.value, ty, pos=(name.line, name.col))
+
+    # -- binders --------------------------------------------------------------------
+
+    def _looks_like_binder(self) -> bool:
+        """True when the upcoming tokens open a binder group:
+        ``{`` always does in type position; ``(`` only if followed by
+        one or more names and a colon."""
+        tokens = self.tokens
+        k = self.pos
+        kind = tokens[k].kind
+        if kind == LBRACE:
+            return True
+        if kind != LPAREN or tokens[k + 1].kind != NAME:
+            return False
+        k += 2
+        while tokens[k].kind == NAME:
+            k += 1
+        return tokens[k].kind == COLON
+
+    def _parse_binder_group(self) -> Binder:
+        open_tok = self._advance()
+        hidden = open_tok.kind == LBRACE
+        close = RBRACE if hidden else RPAREN
+        names = [self._expect_name()]
+        while self._peek().kind == NAME:
+            names.append(self._expect_name())
+        seen: set[str] = set()
+        for t in names:
+            if t.value in seen:
+                raise ParseError(f"repeated binder name {t.value!r}", t.line, t.col)
+            seen.add(t.value)
+        self._expect(COLON)
+        self._nest(open_tok)
+        ty = self.parse_type(frozenset())
+        self.depth -= 1
+        self._expect(close)
+        return Binder([t.value for t in names], ty, hidden, pos=(open_tok.line, open_tok.col))
+
+    def _parse_binders(self) -> list[Binder]:
+        binders: list[Binder] = []
+        while self._looks_like_binder():
+            binders.append(self._parse_binder_group())
+        return binders
+
+    # -- type expressions --------------------------------------------------------------
+
+    def parse_type(self, bound: frozenset[str]) -> TypeExpr:
+        if self._looks_like_binder():
+            start = self._peek()
+            binders = [self._parse_binder_group()]
+            while self._looks_like_binder():
+                binders.append(self._parse_binder_group())
+            self._expect(ARROW)
+            inner = bound.union(n for b in binders for n in b.names)
+            body = self.parse_type(inner)
+            return Quant(binders, body, pos=(start.line, start.col))
+
+        operand = self._parse_operand(bound)
+        arrow = self.tokens[self.pos]
+        if arrow.kind == ARROW:
+            self.pos += 1
+            cod = self.parse_type(bound)
+            return Arrow(operand, cod, pos=(arrow.line, arrow.col))
+        return operand
+
+    def _parse_operand(self, bound: frozenset[str]) -> TypeExpr:
+        lhs = self._parse_apps(bound)
+        eq = self.tokens[self.pos]
+        if eq.kind == EQEQ:
+            self.pos += 1
+            rhs = self._parse_apps(bound)
+            return Equation(self._to_term(lhs, bound), self._to_term(rhs, bound), pos=(eq.line, eq.col))
+        return lhs
+
+    def _at_atom_start(self) -> bool:
+        tok = self.tokens[self.pos]
+        kind = tok.kind
+        if kind == NAME:
+            # a name directly followed by ':' begins the next constr
+            return self.tokens[self.pos + 1].kind != COLON
+        if kind == LPAREN:
+            return not self._looks_like_binder()
+        return kind == KEYWORD and tok.value == "Set"
+
+    def _parse_apps(self, bound: frozenset[str]) -> TypeExpr:
+        head_tok = self.tokens[self.pos]
+        if not self._at_atom_start():
+            raise self._error(f"expected a type expression, got {head_tok.value!r}", head_tok)
+        atoms = [self._parse_atom(bound)]
+        while self._at_atom_start():
+            atoms.append(self._parse_atom(bound))
+        if len(atoms) == 1:
+            return atoms[0]
+        head = atoms[0]
+        if not isinstance(head, SortRef):
+            raise ParseError(
+                "application head must be a name", head_tok.line, head_tok.col
+            )
+        return TyApp(head.name, atoms[1:], pos=(head_tok.line, head_tok.col))
+
+    def _parse_atom(self, bound: frozenset[str]) -> TypeExpr:
+        tok = self.tokens[self.pos]
+        kind = tok.kind
+        if kind == NAME:
+            self.pos += 1
+            return SortRef(tok.value, pos=(tok.line, tok.col))
+        if kind == LPAREN:
+            self.pos += 1
+            self._nest(tok)
+            inner = self.parse_type(bound)
+            self.depth -= 1
+            self._expect(RPAREN)
+            return inner
+        if kind == KEYWORD and tok.value == "Set":
+            self.pos += 1
+            return SetKind(pos=(tok.line, tok.col))
+        raise self._error(f"expected a type expression, got {tok.value!r}", tok)
+
+    # -- terms ---------------------------------------------------------------------------
+
+    def _to_term(self, ty: TypeExpr, bound: frozenset[str]) -> Term:
+        """Reinterpret a parsed type expression as an equation-side term."""
+        if isinstance(ty, SortRef):
+            node: Term = Var(ty.name, pos=ty.pos) if ty.name in bound else Sym(ty.name, pos=ty.pos)
+            return node
+        if isinstance(ty, TyApp):
+            head: Term = Var(ty.head, pos=ty.pos) if ty.head in bound else Sym(ty.head, pos=ty.pos)
+            t: Term = head
+            for arg in ty.args:
+                t = App(t, self._to_term(arg, bound), pos=ty.pos)
+            return t
+        pos = getattr(ty, "pos", None) or (0, 0)
+        raise ParseError("expected a term on this side of '=='", pos[0], pos[1])
+
+
+def _parse_outcome(parser_class, source: str):
+    """``repr`` of the declarations, positions included, or the ParseError."""
+    try:
+        return repr(parser_class(tokenize(source)).parse_file())
+    except ParseError as e:
+        return ("ParseError", e.message, e.line, e.col, e.expected)
+
+
+def assert_parses_as_reference(source: str) -> None:
+    assert _parse_outcome(Parser, source) == _parse_outcome(_ReferenceParser, source)
+
+
+_SOUP_WORDS = [
+    "record", "data", "field", "where", "constructor", "Set", "A", "B", "x", "y",
+    "(", ")", "{", "}", ":", "→", "==", ",", "\n",
+]
+# starts that reach the type-expression rules more often than a bare soup does
+_SOUP_STARTS = ["", "record M (A : Set) : Set where field f :", "data D : Set where c :"]
+
+
+@settings(max_examples=1500)
+@given(st.sampled_from(_SOUP_STARTS), st.lists(st.sampled_from(_SOUP_WORDS), max_size=30))
+def test_parser_agrees_with_reference_on_token_soups(start, words):
+    assert_parses_as_reference(" ".join([start, *words]))
+
+
+def _printed_library_decls() -> list[str]:
+    from theoryforge.cli import RunConfig, generate_for_theory
+    from theoryforge.combinators import load_library, standard_library_path
+    from theoryforge.generators import GenKind
+
+    cfg = RunConfig(kinds=tuple(GenKind))
+    texts: list[str] = []
+    for t in load_library(standard_library_path()).theories()[:12]:
+        texts.extend(generate_for_theory(t, cfg).module_text.split("\n\n"))
+    return texts
+
+
+_PRINTED = _printed_library_decls()
+
+
+@settings(max_examples=800)
+@given(st.data())
+def test_parser_agrees_with_reference_on_printed_declarations(data):
+    words = data.draw(st.sampled_from(_PRINTED)).split(" ")
+    # cut, drop, repeat or insert a few words so the error paths are reached too
+    for _ in range(data.draw(st.integers(0, 3))):
+        i = data.draw(st.integers(0, len(words)))
+        edit = data.draw(st.sampled_from(["cut", "drop", "repeat", "insert"]))
+        if edit == "cut":
+            words = words[:i]
+        elif edit == "drop":
+            words = words[:i] + words[i + 1:]
+        elif edit == "repeat" and i < len(words):
+            words = words[:i] + [words[i]] + words[i:]
+        elif edit == "insert":
+            words = words[:i] + [data.draw(st.sampled_from(_SOUP_WORDS))] + words[i:]
+    assert_parses_as_reference(" ".join(words))
+
+
+def test_parser_agrees_with_reference_on_every_printed_declaration():
+    for text in _PRINTED:
+        assert_parses_as_reference(text)
