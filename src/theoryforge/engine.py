@@ -13,11 +13,20 @@ count of the input bounds the number of steps; the fuel argument is a
 defensive cap that also covers deliberately forced orientations
 (associativity) which only rearrange.  Running out of fuel with a redex
 left raises :class:`FuelExhausted`, which carries the partial result.
+
+Each rule compiles its left-hand side once, when it is made, into a
+generated matcher over a term's arguments, and plans the rebuild of its
+right-hand side.  ``normalize`` and ``is_normal`` index the rules by the
+head symbol and arity of their left-hand side, so a node tries only the
+rules that can match it, still in declaration order.  ``normalize``,
+``is_normal``, ``eval_term``, ``symbol_count`` and the equality test of a
+repeated pattern variable run on explicit stacks: no term is too deep for
+them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from .ast import Term, Var, spine
@@ -56,17 +65,25 @@ Env = Sequence[Any]
 
 def symbol_count(t: OpenTerm) -> int:
     """Total node count: operation symbols plus variable occurrences."""
-    if isinstance(t, TVar):
-        return 1
-    return 1 + sum(symbol_count(a) for a in t.args)
+    count = 0
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        count += 1
+        if type(t) is not TVar:
+            todo.extend(t.args)
+    return count
 
 
 def free_indices(t: OpenTerm) -> set[int]:
-    if isinstance(t, TVar):
-        return {t.index}
     out: set[int] = set()
-    for a in t.args:
-        out |= free_indices(a)
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        if type(t) is TVar:
+            out.add(t.index)
+        else:
+            todo.extend(t.args)
     return out
 
 
@@ -101,29 +118,68 @@ class Model:
 def eval_term(t: OpenTerm, model: Model, env: Env) -> Any:
     """The homomorphic extension of ``env`` through the model: variables
     look up their slot, operations apply their interpretation to the
-    evaluated arguments."""
-    if isinstance(t, TVar):
-        if not 0 <= t.index < len(env):
-            raise ArityError(f"variable index {t.index} outside environment of size {len(env)}")
-        return env[t.index]
-    fn = model.interp.get(t.sym)
-    if fn is None:
-        raise ArityError(f"model has no interpretation for {t.sym!r}")
-    if len(t.args) != model.arities.get(t.sym, len(t.args)):
-        raise ArityError(
-            f"{t.sym!r} expects {model.arities[t.sym]} argument(s), got {len(t.args)}"
-        )
-    return fn(*(eval_term(a, model, env) for a in t.args))
+    evaluated arguments.  Each node is checked before its arguments are
+    visited, left to right, and its interpretation is applied once they are
+    all evaluated, so the first node in that order that does not fit raises
+    :class:`ArityError`."""
+    interp = model.interp
+    arities = model.arities
+    todo: list = [t]
+    values: list = []
+    while todo:
+        t = todo.pop()
+        if type(t) is TVar:
+            if not 0 <= t.index < len(env):
+                raise ArityError(f"variable index {t.index} outside environment of size {len(env)}")
+            values.append(env[t.index])
+        elif type(t) is tuple:
+            # every argument of the node is evaluated: apply its interpretation
+            fn, n = t
+            args = values[-n:]
+            del values[-n:]
+            values.append(fn(*args))
+        else:
+            fn = interp.get(t.sym)
+            if fn is None:
+                raise ArityError(f"model has no interpretation for {t.sym!r}")
+            args = t.args
+            if len(args) != arities.get(t.sym, len(args)):
+                raise ArityError(f"{t.sym!r} expects {arities[t.sym]} argument(s), got {len(args)}")
+            if args:
+                todo.append((fn, len(args)))
+                todo.extend(args[::-1])
+            else:
+                values.append(fn())
+    return values[0]
 
 
 # -- orientation ----------------------------------------------------------------
 
+Matcher = Callable[[tuple[OpenTerm, ...]], "dict[int, OpenTerm] | None"]
+
+
 @dataclass(frozen=True)
 class RewriteRule:
+    """``lhs -> rhs``.  ``match`` is the left-hand side compiled when the
+    rule is made: given the arguments of a term whose head symbol and arity
+    are the left-hand side's, it returns the substitution (variable index to
+    subterm) under which the two are equal, or ``None``.  ``plan`` is how
+    ``normalize`` rebuilds the right-hand side (see :func:`_plan_rhs`)."""
+
     var_count: int
     lhs: TOp
     rhs: OpenTerm
     source_axiom: str
+    match: Matcher = field(init=False, compare=False, repr=False)
+    plan: tuple = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "match", _compile_lhs(self.lhs))
+        object.__setattr__(self, "plan", _plan_rhs(self.rhs))
+
+    def __reduce__(self) -> tuple:
+        # a generated matcher does not pickle: remake the rule from its fields
+        return RewriteRule, (self.var_count, self.lhs, self.rhs, self.source_axiom)
 
 
 def _orientable(lhs: OpenTerm, rhs: OpenTerm) -> bool:
@@ -182,22 +238,105 @@ def rules_for_theory(t: EqTheory, force_orient_assoc: bool = False) -> list[Rewr
     return rules
 
 
-# -- normalization ------------------------------------------------------------------
+# -- compiled rules -----------------------------------------------------------------
 
-def _match(pattern: OpenTerm, term: OpenTerm, subst: dict[int, OpenTerm]) -> bool:
-    if type(pattern) is TVar:
-        seen = subst.get(pattern.index)
-        if seen is None:
-            subst[pattern.index] = term
-            return True
-        return seen == term
-    if type(term) is not TOp or term.sym != pattern.sym or len(term.args) != len(pattern.args):
-        return False
-    for p, a in zip(pattern.args, term.args):
-        if not _match(p, a, subst):
+# job-stack markers of ``normalize``; a build marker is (_BUILD, symbol, arity)
+_DONE, _BUILD, _VALUE = 0, 1, 2
+
+
+def _compile_lhs(lhs: TOp) -> Matcher:
+    """Generate the matcher of a left-hand side.  The function unpacks the
+    argument tuple into one local per pattern position, named after its
+    path; symbols appear in its source only as ``repr`` literals.  It makes
+    the structural tests first, in pattern order, then the equality tests
+    of repeated variables."""
+    lines: list[str] = []
+    equal: list[str] = []
+    bound: dict[int, str] = {}
+    todo: list[tuple[OpenTerm, str]] = []
+
+    def unpack(args: tuple[OpenTerm, ...], source: str, path: str) -> None:
+        names = [f"{path}_{i}" for i in range(len(args))]
+        if names:
+            lines.append(f"{', '.join(names)}, = {source}")
+        todo.extend(zip(args[::-1], names[::-1]))
+
+    unpack(lhs.args, "args", "a")
+    while todo:
+        p, name = todo.pop()
+        if type(p) is TVar:
+            if p.index in bound:
+                other = bound[p.index]
+                equal.append(f"if {name} is not {other} and not same({name}, {other}): return None")
+            else:
+                bound[p.index] = name
+        else:
+            lines.append(
+                f"if type({name}) is not TOp or {name}.sym != {p.sym!r} "
+                f"or len({name}.args) != {len(p.args)}: return None"
+            )
+            unpack(p.args, f"{name}.args", name)
+    subst = ", ".join(f"{i}: {name}" for i, name in bound.items())
+    body = "".join(f"    {line}\n" for line in [*lines, *equal, f"return {{{subst}}}"])
+    namespace = {"TOp": TOp, "same": _same}
+    exec(compile(f"def match(args):\n{body}", f"<lhs of {lhs.sym!r}>", "exec"), namespace)
+    return namespace["match"]
+
+
+def _same(a: OpenTerm, b: OpenTerm) -> bool:
+    """``a == b`` for terms, without recursion."""
+    todo = [(a, b)]
+    while todo:
+        a, b = todo.pop()
+        if a is b:
+            continue
+        if type(a) is not type(b):
             return False
+        if type(a) is TVar:
+            if a.index != b.index:
+                return False
+        elif a.sym != b.sym or len(a.args) != len(b.args):
+            return False
+        else:
+            todo.extend(zip(a.args, b.args))
     return True
 
+
+def _plan_rhs(rhs: OpenTerm) -> tuple[tuple[int, ...], tuple, bool]:
+    """How ``normalize`` rebuilds a right-hand side, from its postfix order
+    (variables as their index, nodes as build markers): the variables
+    before the first node, whose values go straight to the results; the
+    rest reversed, ready for the job stack; and whether that rest holds a
+    variable."""
+    post: list = []
+    todo: list = [rhs]
+    while todo:
+        r = todo.pop()
+        if type(r) is tuple:
+            post.append(r)
+        elif type(r) is TVar:
+            post.append(r.index)
+        else:
+            todo.append((_BUILD, r.sym, len(r.args)))
+            todo.extend(r.args[::-1])
+    lead = 0
+    while lead < len(post) and type(post[lead]) is int:
+        lead += 1
+    rest = post[lead:]
+    return tuple(post[:lead]), tuple(rest[::-1]), any(type(x) is int for x in rest)
+
+
+def _index(rules: Sequence[RewriteRule]) -> dict[tuple[str, int], list[tuple[Matcher, tuple]]]:
+    """Each rule's matcher and plan under the head symbol and arity of its
+    left-hand side, in declaration order."""
+    index: dict[tuple[str, int], list[tuple[Matcher, tuple]]] = {}
+    for rule in rules:
+        lhs = rule.lhs
+        index.setdefault((lhs.sym, len(lhs.args)), []).append((rule.match, rule.plan))
+    return index
+
+
+# -- normalization ------------------------------------------------------------------
 
 def normalize(t: OpenTerm, rules: Sequence[RewriteRule], fuel: int) -> OpenTerm:
     """Innermost-leftmost rewriting to a fixpoint, spending at most ``fuel``
@@ -205,53 +344,66 @@ def normalize(t: OpenTerm, rules: Sequence[RewriteRule], fuel: int) -> OpenTerm:
     around the (already normal) substituted subterms.  Raises
     :class:`FuelExhausted` with the partially simplified term when the fuel
     runs out before a normal form is reached."""
-
-    def norm(t: OpenTerm, fuel: int) -> tuple[OpenTerm, int]:
-        if type(t) is TVar:
-            return t, fuel
-        args = []
-        changed = False
-        for a in t.args:
-            n, fuel = norm(a, fuel)
-            changed = changed or n is not a
-            args.append(n)
-        # a subterm that no rule touched comes back as the same object
-        return rewrite(TOp(t.sym, tuple(args)) if changed else t, fuel)
-
-    def rewrite(t: TOp, fuel: int) -> tuple[OpenTerm, int]:
-        # the arguments of t are normal unless the fuel is gone; a rewrite
-        # rebuilds the right-hand side in place of t and tries again there
-        while fuel > 0:
-            for rule in rules:
-                subst: dict[int, OpenTerm] = {}
-                if _match(rule.lhs, t, subst):
-                    break
-            else:
-                return t, fuel
-            fuel -= 1
-            rhs = rule.rhs
-            if type(rhs) is TVar:
-                return subst[rhs.index], fuel
-            args = []
-            for a in rhs.args:
-                a, fuel = rebuild(a, subst, fuel)
-                args.append(a)
-            t = TOp(rhs.sym, tuple(args))
-        return t, fuel
-
-    def rebuild(r: OpenTerm, subst: Mapping[int, OpenTerm], fuel: int) -> tuple[OpenTerm, int]:
-        if type(r) is TVar:
-            return subst[r.index], fuel
-        args = []
-        for a in r.args:
-            a, fuel = rebuild(a, subst, fuel)
-            args.append(a)
-        return rewrite(TOp(r.sym, tuple(args)), fuel)
-
     if fuel < 1:
         raise ValueError("fuel must be at least 1")
-    result, left = norm(t, fuel)
-    if left == 0 and not is_normal(result, rules):
+    index = _index(rules)
+    # ``todo`` holds input subterms still to normalize and markers; ``done``
+    # holds finished results, the arguments of the pending nodes
+    todo: list = [t]
+    done: list[OpenTerm] = []
+    while todo:
+        job = todo.pop()
+        if type(job) is TOp:
+            if job.args:
+                todo.append((_DONE, job))
+                todo.extend(job.args[::-1])
+                continue
+            t = job
+        elif type(job) is TVar:
+            done.append(job)
+            continue
+        elif job[0] == _DONE:
+            # a subterm that no rule touched comes back as the same object
+            t = job[1]
+            n = len(t.args)
+            args = tuple(done[-n:])
+            del done[-n:]
+            for a, b in zip(args, t.args):
+                if a is not b:
+                    t = TOp(t.sym, args)
+                    break
+        elif job[0] == _BUILD:
+            _, sym, n = job
+            if n:
+                args = tuple(done[-n:])
+                del done[-n:]
+                t = TOp(sym, args)
+            else:
+                t = TOp(sym)
+        else:
+            # a value of a substitution, after a node of its right-hand side
+            done.append(job[1])
+            continue
+        # the arguments of t are normal unless the fuel is gone: try the
+        # rules at t; a rewrite rebuilds the right-hand side in its place
+        if fuel > 0:
+            for match, (lead, rest, rest_vars) in index.get((t.sym, len(t.args)), ()):
+                subst = match(t.args)
+                if subst is not None:
+                    fuel -= 1
+                    for i in lead:
+                        done.append(subst[i])
+                    if rest_vars:
+                        todo.extend([x if type(x) is tuple else (_VALUE, subst[x]) for x in rest])
+                    else:
+                        todo.extend(rest)
+                    break
+            else:
+                done.append(t)
+        else:
+            done.append(t)
+    (result,) = done
+    if fuel == 0 and not is_normal(result, rules):
         raise FuelExhausted(result)
     return result
 
@@ -265,12 +417,16 @@ def default_fuel(t: OpenTerm) -> int:
 
 
 def is_normal(t: OpenTerm, rules: Sequence[RewriteRule]) -> bool:
-    if isinstance(t, TVar):
-        return True
-    for rule in rules:
-        if _match(rule.lhs, t, {}):
-            return False
-    return all(is_normal(a, rules) for a in t.args)
+    index = _index(rules)
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        if type(t) is not TVar:
+            for match, _ in index.get((t.sym, len(t.args)), ()):
+                if match(t.args) is not None:
+                    return False
+            todo.extend(t.args)
+    return True
 
 
 # -- enumeration ---------------------------------------------------------------------

@@ -1,16 +1,17 @@
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from theoryforge import engine
 from theoryforge.engine import (
     ArityError,
     FuelExhausted,
     Model,
+    RewriteRule,
     TOp,
     TVar,
     default_fuel,
@@ -188,6 +189,26 @@ def test_rules_for_theory_declaration_order(monoid):
     assert [r.source_axiom for r in rules_for_theory(monoid)] == ["lunit", "runit"]
 
 
+MONOID_RULES = [
+    "RewriteRule(var_count=1, lhs=TOp(sym='op', args=(TOp(sym='e', args=()), TVar(index=0))), "
+    "rhs=TVar(index=0), source_axiom='lunit')",
+    "RewriteRule(var_count=1, lhs=TOp(sym='op', args=(TVar(index=0), TOp(sym='e', args=()))), "
+    "rhs=TVar(index=0), source_axiom='runit')",
+    "RewriteRule(var_count=3, lhs=TOp(sym='op', args=(TOp(sym='op', args=(TVar(index=0), TVar(index=1))), "
+    "TVar(index=2))), rhs=TOp(sym='op', args=(TVar(index=0), TOp(sym='op', args=(TVar(index=1), "
+    "TVar(index=2))))), source_axiom='assoc')",
+]
+
+
+def test_compiled_rules_keep_their_repr_equality_and_hash(monoid):
+    rules = rules_for_theory(monoid, force_orient_assoc=True)
+    assert [repr(r) for r in rules] == MONOID_RULES
+    for a, b in zip(rules, rules_for_theory(monoid, force_orient_assoc=True)):
+        assert a is not b and a.match is not b.match
+        assert a == b and hash(a) == hash(b)
+        assert pickle.loads(pickle.dumps(a)) == a
+
+
 # -- normalization -----------------------------------------------------------------
 
 def test_normalize_unit_chain(monoid):
@@ -257,19 +278,23 @@ def _left_comb(leaves):
     return comb
 
 
-def test_forced_association_work_grows_quadratically(monoid, monkeypatch):
+def test_forced_association_work_grows_quadratically(monoid):
     # a left comb is the rotation's worst case: the rule-matching work must
-    # grow about quadratically in the leaves (4x per doubling), not cubically
+    # grow about quadratically in the leaves (4x per doubling), not cubically;
+    # the work is the number of calls to the rules' compiled matchers
     rules = rules_for_theory(monoid, force_orient_assoc=True)
-    match = engine._match
     calls = 0
 
-    def counting_match(pattern, term, subst):
-        nonlocal calls
-        calls += 1
-        return match(pattern, term, subst)
+    def counting(match):
+        def counted(args):
+            nonlocal calls
+            calls += 1
+            return match(args)
 
-    monkeypatch.setattr(engine, "_match", counting_match)
+        return counted
+
+    for rule in rules:
+        object.__setattr__(rule, "match", counting(rule.match))
     counts = []
     for leaves in (64, 128):
         comb = _left_comb(leaves)
@@ -287,6 +312,51 @@ def test_forced_association_recursion_depth_stays_linear(monoid):
     rules = rules_for_theory(monoid, force_orient_assoc=True)
     comb = _left_comb(400)
     assert _right_nested(normalize(comb, rules, default_fuel(comb)))
+
+
+# -- depth: no entry point recurses on the term ----------------------------------------
+
+def test_deep_left_comb_needs_no_recursion(monoid, int_model):
+    comb = _left_comb(2000)
+    rules = rules_for_theory(monoid)
+    fuel = default_fuel(comb)
+    assert fuel == 3999 * 3999 + 3999 + 1
+    assert normalize(comb, rules, fuel) is comb
+    assert is_normal(comb, rules)
+    env = [1, 2, 3]
+    assert eval_term(comb, int_model, env) == sum(env[i % 3] for i in range(2000))
+
+
+def test_forced_association_right_nests_a_600_leaf_comb(monoid):
+    rules = rules_for_theory(monoid, force_orient_assoc=True)
+    comb = _left_comb(600)
+    t = normalize(comb, rules, default_fuel(comb))
+    leaves = []
+    while isinstance(t, TOp):
+        left, t = t.args
+        assert isinstance(left, TVar)
+        leaves.append(left)
+    leaves.append(t)
+    assert leaves == [TVar(i % 3) for i in range(600)]
+
+
+def test_idempotence_compares_deep_terms_without_recursion(library):
+    lattice = library.expanded["Lattice"]
+    rules = rules_for_theory(lattice)
+
+    def join_comb():
+        comb = TVar(0)
+        for i in range(1, 2000):
+            comb = TOp("join", (comb, TVar(i % 3)))
+        return comb
+
+    # equal but separately built, so only a structural comparison sees it
+    c, c2 = join_comb(), join_comb()
+    assert c is not c2
+    assert is_normal(c, rules)
+    t = TOp("join", (c, c2))
+    assert not is_normal(t, rules)
+    assert normalize(t, rules, default_fuel(t)) is c
 
 
 # -- the skeleton rebuild against the full re-normalization it replaced ----------------
@@ -336,6 +406,32 @@ def _reference_normalize(t, rules, fuel):
     return norm(t, fuel)[0]
 
 
+def _reference_eval_term(t, model, env):
+    """The recursive evaluator the iterative ``eval_term`` replaced."""
+    if isinstance(t, TVar):
+        if not 0 <= t.index < len(env):
+            raise ArityError(f"variable index {t.index} outside environment of size {len(env)}")
+        return env[t.index]
+    fn = model.interp.get(t.sym)
+    if fn is None:
+        raise ArityError(f"model has no interpretation for {t.sym!r}")
+    if len(t.args) != model.arities.get(t.sym, len(t.args)):
+        raise ArityError(
+            f"{t.sym!r} expects {model.arities[t.sym]} argument(s), got {len(t.args)}"
+        )
+    return fn(*(_reference_eval_term(a, model, env) for a in t.args))
+
+
+def _reference_is_normal(t, rules):
+    """The recursive test the iterative ``is_normal`` replaced."""
+    if isinstance(t, TVar):
+        return True
+    for rule in rules:
+        if _reference_match(rule.lhs, t, {}):
+            return False
+    return all(_reference_is_normal(a, rules) for a in t.args)
+
+
 def _terms(arities, height):
     """Open terms of height at most ``height`` over ``arities`` and three variables."""
     leaf = st.one_of(
@@ -374,6 +470,153 @@ def test_normalize_agrees_with_full_renormalization(library, name, forced):
             assert is_normal(expected, rules)
 
     agrees()
+
+
+def _logging_model(arities, log, missing=None):
+    """The term model over ``arities``: each symbol but ``missing`` builds
+    ``(symbol, arguments)`` and logs the value it builds."""
+
+    def interp(sym):
+        def apply(*args):
+            log.append((sym, args))
+            return log[-1]
+
+        return apply
+
+    return Model({sym: interp(sym) for sym in arities if sym != missing}, dict(arities))
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["plain", "forced-assoc"])
+@pytest.mark.parametrize("name", ["Monoid", "Group", "Ring", "Lattice"])
+def test_is_normal_and_eval_term_agree_with_the_recursive_versions(library, name, forced):
+    theory = library.expanded[name]
+    rules = rules_for_theory(theory, force_orient_assoc=forced)
+    env = ("x", "y", "z")
+
+    @given(st.data())
+    def agrees(data):
+        t = data.draw(_terms(theory.arities, 7), label="term")
+        normal = normalize(t, rules, default_fuel(t))
+        assert is_normal(t, rules) == _reference_is_normal(t, rules)
+        assert is_normal(normal, rules) and _reference_is_normal(normal, rules)
+        for term in (t, normal):
+            logs = ([], [])
+            value = eval_term(term, _logging_model(theory.arities, logs[0]), env)
+            assert value == _reference_eval_term(term, _logging_model(theory.arities, logs[1]), env)
+            assert logs[0] == logs[1]
+
+    agrees()
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["plain", "forced-assoc"])
+@pytest.mark.parametrize("name", ["Monoid", "Group", "Ring", "Lattice"])
+def test_eval_term_fails_like_the_recursive_version(library, name, forced):
+    # bad input of three kinds, alone or mixed: a short environment, a model
+    # without one interpretation, and a symbol drawn with a wrong arity
+    theory = library.expanded[name]
+    rules = rules_for_theory(theory, force_orient_assoc=forced)
+    symbols = sorted(theory.arities)
+    kinds = set()
+
+    @given(st.data())
+    def fails_alike(data):
+        arities = dict(theory.arities)
+        wrong = data.draw(st.none() | st.sampled_from(symbols), label="wrong arity")
+        if wrong is not None:
+            arities[wrong] = arities[wrong] + 1 if arities[wrong] == 0 else arities[wrong] + data.draw(
+                st.sampled_from([-1, 1]), label="arity change"
+            )
+        t = data.draw(_terms(arities, 6), label="term")
+        env = tuple(range(data.draw(st.integers(0, 3), label="environment size")))
+        missing = data.draw(st.none() | st.sampled_from(symbols), label="missing")
+        assert is_normal(t, rules) == _reference_is_normal(t, rules)
+        outcomes = []
+        for evaluate in (eval_term, _reference_eval_term):
+            log = []
+            try:
+                value = evaluate(t, _logging_model(theory.arities, log, missing), env)
+            except ArityError as e:
+                outcomes.append(("error", str(e), log))
+            else:
+                outcomes.append(("value", value, log))
+        assert outcomes[0] == outcomes[1]
+        if outcomes[0][0] == "error":
+            kinds.add(outcomes[0][1].split(" ")[1])
+
+    fails_alike()
+    # each kind of error was drawn: variable index, model has no, 'sym' expects
+    assert {"index", "has", "expects"} <= kinds, kinds
+
+
+def _random_term(arities, rng, height):
+    constants = sorted(sym for sym, n in arities.items() if n == 0)
+    if height <= 1 or rng.random() < 0.3:
+        k = rng.randrange(3 + len(constants))
+        return TVar(k) if k < 3 else TOp(constants[k - 3])
+    sym = rng.choice(sorted(arities))
+    return TOp(sym, tuple(_random_term(arities, rng, height - 1) for _ in range(arities[sym])))
+
+
+def _copy(t):
+    """An equal term that shares no node with ``t``."""
+    if isinstance(t, TVar):
+        return TVar(t.index)
+    return TOp(t.sym, tuple(_copy(a) for a in t.args))
+
+
+def _near_instance(pattern, arities, rng, subst):
+    """An instance of ``pattern`` with the same head, where a repeated
+    variable's later occurrence is its first value, an equal copy or another
+    term, and any proper subpattern may be replaced by a random term."""
+    if isinstance(pattern, TVar):
+        seen = subst.get(pattern.index)
+        if seen is None:
+            subst[pattern.index] = seen = _random_term(arities, rng, 3)
+            return seen
+        return rng.choice([seen, _copy(seen), _random_term(arities, rng, 3)])
+    args = []
+    for p in pattern.args:
+        if rng.random() < 0.1:
+            args.append(_random_term(arities, rng, 3))
+        else:
+            args.append(_near_instance(p, arities, rng, subst))
+    return TOp(pattern.sym, tuple(args))
+
+
+def test_compiled_matchers_agree_with_reference_match(library):
+    theories = list(library.theories())
+    assert len(theories) == 62
+    rng = random.Random(29)
+    matched = unmatched = 0
+    for theory in theories:
+        for forced in (False, True):
+            for rule in rules_for_theory(theory, force_orient_assoc=forced):
+                lhs = rule.lhs
+                for k in range(60):
+                    if k % 4 == 0:
+                        args = tuple(_random_term(theory.arities, rng, 3) for _ in lhs.args)
+                        t = TOp(lhs.sym, args)
+                    else:
+                        t = _near_instance(lhs, theory.arities, rng, {})
+                    subst = {}
+                    expected = subst if _reference_match(lhs, t, subst) else None
+                    assert rule.match(t.args) == expected, (theory.name, rule.source_axiom, t)
+                    matched += expected is not None
+                    unmatched += expected is None
+    assert matched > 1000 and unmatched > 1000, (matched, unmatched)
+
+
+def test_matchers_embed_symbols_safely():
+    # symbols with quotes, backslashes and newlines match only themselves
+    odd = ["it's", 'say "x"', "back\\slash", "two\nlines", "a'); import os; ('"]
+    for sym in odd:
+        inner = TOp(sym)
+        rule = RewriteRule(1, TOp("f", (inner, TVar(0))), TVar(0), "odd")
+        assert rule.match((TOp(sym), TVar(2))) == {0: TVar(2)}
+        for other in odd:
+            if other != sym:
+                assert rule.match((TOp(other), TVar(2))) is None
+        assert normalize(TOp("f", (TOp(sym), TOp("c"))), [rule], 1) == TOp("c")
 
 
 # -- enumeration ---------------------------------------------------------------------
