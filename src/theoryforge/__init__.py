@@ -17,7 +17,7 @@ from .combinators import (
     parse_library,
     standard_library_path,
 )
-from .generators import GenKind, HomNaming, gen_all
+from .generators import GenKind, NameSupply, gen_all
 from .parser import ParseError, parse_file
 from .printer import print_decl, print_module
 from .theory import Axiom, EqTheory, RenameScheme, ShapeError, embed, extract, rename
@@ -46,9 +46,9 @@ __all__ = [
     "Decl",
     "EqTheory",
     "GenKind",
-    "HomNaming",
     "Library",
     "Model",
+    "NameSupply",
     "OpenTerm",
     "ParseError",
     "RecordDecl",

@@ -53,6 +53,7 @@ from .generators import (
     DEFAULT_SUFFIXES,
     GenError,
     GenKind,
+    NameSupply,
     gen_all,
     kind_from_flag,
     prod_decl,
@@ -183,7 +184,6 @@ class TheoryRecord(NamedTuple):
     definitions: int
     lines: int
     check_lines: list[str]
-    skips: list[str]
 
 
 # a share's records, and the (theory index, message) of the GenError it stopped at
@@ -191,19 +191,17 @@ ShareResult = tuple[list[TheoryRecord], tuple[int, str] | None]
 RunShare = Callable[[int, int], ShareResult]
 
 
-def generate_for_theory(
-    t: EqTheory,
-    cfg: RunConfig,
-    source_decl: Decl | None = None,
-    skip_log: list[str] | None = None,
-) -> TheoryOutput:
-    """Produce the per-theory output files.  Pure; does not touch disk."""
-    constructions = gen_all(t, cfg.kinds, cfg.suffixes, skip_log=skip_log)
+def generate_for_theory(t: EqTheory, cfg: RunConfig, source_decl: Decl | None = None) -> TheoryOutput:
+    """Produce the per-theory output files.  Pure; does not touch disk.
+    Every name the module's ``Prod`` helper and constructions add is drawn
+    from one supply seeded with the source declaration as written."""
+    head: list[Decl] = [source_decl if source_decl is not None else embed(t)]
+    names = NameSupply.for_module(head[0])
+    if GenKind.PRODUCT in cfg.kinds:
+        head.append(prod_decl(names))
+    constructions = gen_all(t, cfg.kinds, cfg.suffixes, names)
     printed = [print_decl(d) + "\n" for d in constructions]
     files = {f"{d.name}.gen.eqt": text for d, text in zip(constructions, printed)}
-    head: list[Decl] = [source_decl if source_decl is not None else embed(t)]
-    if GenKind.PRODUCT in cfg.kinds:
-        head.append(prod_decl())
     # the text print_module gives for head + constructions, with each
     # construction printed once for its own file and for the module
     module_text = print_module(head) + "".join("\n" + text for text in printed)
@@ -230,6 +228,10 @@ def _write_output(out: TheoryOutput, out_dir: Path) -> None:
     _write_file(os.path.join(directory, "module.gen.eqt"), out.module_text)
 
 
+def _parse_error_line(path: Path | str, e: ParseError) -> str:
+    return f"{path}:{e.line}:{e.col}: ParseError: {e.message}"
+
+
 def _check_output_module(out: TheoryOutput, out_dir: Path) -> list[str]:
     """Reparse the module text and check it; exercises the print → parse
     round trip on every run."""
@@ -237,31 +239,26 @@ def _check_output_module(out: TheoryOutput, out_dir: Path) -> list[str]:
     try:
         decls = parse_file(out.module_text)
     except ParseError as e:
-        return [f"{filename}:{e.line}:{e.col}: ParseError: {e.message}"]
+        return [_parse_error_line(filename, e)]
     errors = check_module(decls)
     return [e.format(filename) for e in errors]
 
 
-def _run_theory(t: EqTheory, decl: Decl | None, cfg: RunConfig, log_skips: bool) -> TheoryRecord:
+def _run_theory(t: EqTheory, decl: Decl | None, cfg: RunConfig) -> TheoryRecord:
     """The per-theory unit: generate, print, reparse and check, then write
     the files only if the module checks clean."""
-    skips: list[str] = []
-    out = generate_for_theory(t, cfg, decl, skip_log=skips if log_skips else None)
+    out = generate_for_theory(t, cfg, decl)
     check_lines = _check_output_module(out, cfg.out_dir) if out.files else []
     if out.files and not check_lines:
         try:
             _write_output(out, cfg.out_dir)
         except OSError as e:
             raise GenError(f"cannot write to {cfg.out_dir}: {e}") from e
-    return TheoryRecord(out.definition_count, out.module_text.count("\n"), check_lines, skips)
+    return TheoryRecord(out.definition_count, out.module_text.count("\n"), check_lines)
 
 
 def _run_share(
-    theories: list[tuple[EqTheory, Decl | None]],
-    cfg: RunConfig,
-    log_skips: bool,
-    start: int,
-    step: int,
+    theories: list[tuple[EqTheory, Decl | None]], cfg: RunConfig, start: int, step: int
 ) -> ShareResult:
     """Run the unit over ``theories[start::step]``, stopping at the first
     :class:`GenError`."""
@@ -269,7 +266,7 @@ def _run_share(
     for index in range(start, len(theories), step):
         t, decl = theories[index]
         try:
-            records.append(_run_theory(t, decl, cfg, log_skips))
+            records.append(_run_theory(t, decl, cfg))
         except GenError as e:
             return records, (index, str(e))
     return records, None
@@ -320,16 +317,14 @@ def _run_shares(run_share: RunShare, n: int) -> list[ShareResult]:
 
 
 def _generate_batch(
-    theories: list[tuple[EqTheory, Decl | None]],
-    cfg: RunConfig,
-    log_skips: bool = False,
+    theories: list[tuple[EqTheory, Decl | None]], cfg: RunConfig
 ) -> tuple[list[TheoryRecord], int]:
     """Generate, check, and write a list of theories on up to ``cfg.jobs``
     processes.  Returns one record per theory, in theory order, and a
     process exit code; raises the :class:`GenError` of the first theory
     that failed, as a serial run would."""
     n = max(1, min(cfg.jobs, len(theories))) if hasattr(os, "fork") else 1
-    shares = _run_shares(partial(_run_share, theories, cfg, log_skips), n)
+    shares = _run_shares(partial(_run_share, theories, cfg), n)
     failures = [failure for _, failure in shares if failure is not None]
     if failures:
         raise GenError(min(failures)[1])
@@ -350,10 +345,8 @@ def cmd_check(paths: list[Path]) -> int:
         try:
             decls = parse_file(path.read_text(encoding="utf-8"))
         except (OSError, ParseError) as e:
-            if isinstance(e, ParseError):
-                print(f"{path}:{e.line}:{e.col}: ParseError: {e.message}", file=sys.stderr)
-            else:
-                print(f"{path}: {e}", file=sys.stderr)
+            line = _parse_error_line(path, e) if isinstance(e, ParseError) else f"{path}: {e}"
+            print(line, file=sys.stderr)
             worst = EXIT_PARSE
             continue
         errors = check_module(decls)
@@ -371,7 +364,7 @@ def cmd_gen(path: Path, cfg: RunConfig) -> int:
         print(f"{path}: {e}", file=sys.stderr)
         return EXIT_PARSE
     except ParseError as e:
-        print(f"{path}:{e.line}:{e.col}: ParseError: {e.message}", file=sys.stderr)
+        print(_parse_error_line(path, e), file=sys.stderr)
         return EXIT_PARSE
     errors = check_module(decls)
     if errors:
@@ -403,7 +396,7 @@ def cmd_lib(path: Path, cfg: RunConfig) -> int:
         print(f"{path}: {e}", file=sys.stderr)
         return EXIT_PARSE
     except ParseError as e:
-        print(f"{path}:{e.line}:{e.col}: ParseError: {e.message}", file=sys.stderr)
+        print(_parse_error_line(path, e), file=sys.stderr)
         return EXIT_PARSE
     except LibraryError as e:
         print(f"{path}: {e}", file=sys.stderr)
@@ -411,13 +404,10 @@ def cmd_lib(path: Path, cfg: RunConfig) -> int:
 
     theories: list[tuple[EqTheory, Decl | None]] = [(t, None) for t in library.theories()]
     try:
-        records, code = _generate_batch(theories, cfg, log_skips=True)
+        records, code = _generate_batch(theories, cfg)
     except GenError as e:
         print(f"{path}: {e}", file=sys.stderr)
         return EXIT_GEN
-    for record in records:
-        for line in record.skips:
-            print(line, file=sys.stderr)
     if code != EXIT_OK:
         return code
     definitions = sum(record.definitions for record in records)

@@ -2,17 +2,22 @@
 
 Each generator consumes a validated :class:`~theoryforge.theory.EqTheory`
 and produces either another theory (signature, product) or a declaration
-(term languages, homomorphism family).  All generation is deterministic and
-name-systematic so that a theory and all of its constructions can live in
-one output module under the distinct-member-names rule.
+(term languages, homomorphism family).  All generation is deterministic.
+Every name a construction adds is drawn from one :class:`NameSupply` per
+output module, which hands out the default name while it is free and
+primes it (``fst'``) once it is taken, so a theory and all of its
+constructions can live in one module under the distinct-member-names rule.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections.abc import Container, Iterable
+from dataclasses import replace
+from functools import cached_property
 
 from .ast import (
+    App,
     Arrow,
     Binder,
     Constr,
@@ -26,7 +31,6 @@ from .ast import (
     Sym,
     Term,
     TyApp,
-    TypeExpr,
     Var,
     apply_spine,
     arity,
@@ -90,38 +94,95 @@ def kind_from_flag(flag: str) -> GenKind:
     raise ValueError(f"unknown construction {flag!r}")
 
 
+# -- names ------------------------------------------------------------------------
+
+class NameSupply:
+    """The names taken in one output module.  :meth:`fresh` returns the
+    default name when it is free and primes it until it is; either way the
+    name is taken from then on."""
+
+    def __init__(self, taken: Iterable[str] = ()) -> None:
+        self.taken = set(taken)
+
+    @classmethod
+    def for_module(cls, head: Decl) -> NameSupply:
+        """A supply seeded with every name ``head`` declares, as written:
+        its own name, parameters, members and record constructor."""
+        names = [head.name, *(n for b in head.params for n in b.names), *decl_member_names(head)]
+        if isinstance(head, RecordDecl):
+            names.append(head.constructor_name)
+        return cls(names)
+
+    def fresh(self, name: str, avoid: Container[str] = ()) -> str:
+        while name in self.taken or name in avoid:
+            name += "'"
+        self.taken.add(name)
+        return name
+
+    def scope(self) -> NameSupply:
+        """A child supply for the names local to one declaration or binder
+        group: it avoids every name taken here, and takes nothing here."""
+        return NameSupply(self.taken)
+
+    @cached_property
+    def prod_type(self) -> str:
+        """The name of the module's ``Prod`` helper, drawn on first use."""
+        return self.fresh(PROD_TYPE_NAME)
+
+
+def _supply(t: EqTheory, names: NameSupply | None) -> NameSupply:
+    return NameSupply.for_module(embed(t)) if names is None else names
+
+
+def _renaming(t: EqTheory, suffix: str, names: NameSupply) -> dict[str, str]:
+    """The suffix scheme's targets, drawn from the supply; they also avoid
+    every bound variable of the axioms, which a target would capture."""
+    bound = {v for ax in t.axioms for v in ax.var_names}
+    return {old: names.fresh(new, bound) for old, new in RenameScheme(suffix).mapping_for(t).items()}
+
+
+def _record(t: EqTheory, names: NameSupply) -> RecordDecl:
+    d = embed(t)
+    d.constructor_name = names.fresh(d.constructor_name)
+    return d
+
+
 # -- signature ------------------------------------------------------------------
 
-def gen_signature(t: EqTheory, suffix: str = "S") -> EqTheory:
+def gen_signature(t: EqTheory, suffix: str = "S", names: NameSupply | None = None) -> EqTheory:
     """The axiom-free part of the theory, with members suffixed so the
     result can share a module with its source."""
-    renamed = rename_with(t, RenameScheme(suffix).mapping_for(t), new_name=t.name + "Sig")
-    renamed.axioms = []
-    return renamed
+    names = _supply(t, names)
+    name = names.fresh(t.name + "Sig")
+    bare = replace(t, axioms=[])
+    return rename_with(bare, _renaming(bare, suffix, names), new_name=name)
 
 
 # -- product algebra ---------------------------------------------------------------
 
-def gen_product(t: EqTheory, suffix: str = "P") -> EqTheory:
+def gen_product(t: EqTheory, suffix: str = "P", names: NameSupply | None = None) -> EqTheory:
     """The theory over the binary product of the carrier: every occurrence
     of the sort becomes ``Prod s s``, axiom binders become explicit (one per
     variable, variables suffixed), and a recognised associativity axiom is
     restated canonically as ``f (f x y) z == f x (f y z)``."""
-    renamed = rename_with(t, RenameScheme(suffix).mapping_for(t), new_name=t.name + "Prod")
+    names = _supply(t, names)
+    name = names.fresh(t.name + "Prod")
+    renamed = rename_with(t, _renaming(t, suffix, names), new_name=name)
     sort2 = renamed.sort.name
-    prod_ty = TyApp(PROD_TYPE_NAME, [SortRef(sort2), SortRef(sort2)])
+    prod_ty = TyApp(names.prod_type, [SortRef(sort2), SortRef(sort2)])
     to_prod = {sort2: prod_ty}
 
     funcs = [Constr(f.name, map_names(f.ty, to_prod)) for f in renamed.func_types]
     axioms: list[Axiom] = []
     for ax in renamed.axioms:
-        var_map = {v: v + suffix for v in ax.var_names}
+        scope = names.scope()
+        var_map = {v: scope.fresh(v + suffix) for v in ax.var_names}
         binders = [Binder([var_map[v]], prod_ty, hidden=False) for v in ax.var_names]
         op = associativity_op(ax)
         if op is not None:
             a, b, c = (Var(var_map[v]) for v in ax.var_names)
             lhs: Term = apply_spine(Sym(op), [apply_spine(Sym(op), [a, b]), c])
-            rhs: Term = apply_spine(Sym(op), [Var(a.name), apply_spine(Sym(op), [Var(b.name), Var(c.name)])])
+            rhs: Term = apply_spine(Sym(op), [a, apply_spine(Sym(op), [b, c])])
         else:
             lhs = map_names(ax.lhs, vars=var_map)
             rhs = map_names(ax.rhs, vars=var_map)
@@ -129,233 +190,157 @@ def gen_product(t: EqTheory, suffix: str = "P") -> EqTheory:
     return EqTheory(renamed.name, renamed.sort, funcs, axioms, renamed.waist)
 
 
-def prod_decl() -> RecordDecl:
+def prod_decl(names: NameSupply | None = None) -> RecordDecl:
     """The ``Prod`` helper record generated output relies on; emitted once
     per output module."""
+    names = NameSupply() if names is None else names
     return RecordDecl(
-        PROD_TYPE_NAME,
+        names.prod_type,
         [Binder(["A"], SetKind()), Binder(["B"], SetKind())],
-        "prodC",
-        [Constr("fst", SortRef("A")), Constr("snd", SortRef("B"))],
+        names.fresh("prodC"),
+        [Constr(names.fresh("fst"), SortRef("A")), Constr(names.fresh("snd"), SortRef("B"))],
     )
 
 
 # -- term languages ------------------------------------------------------------------
 
-def gen_termlang(t: EqTheory, suffix: str = "L") -> DataDecl:
+def _term_constructors(t: EqTheory, lang: str, suffix: str, names: NameSupply) -> list[Constr]:
+    return [
+        Constr(names.fresh(f.name + suffix), arrow_chain([SortRef(lang)] * (arity(f.ty) + 1)))
+        for f in t.func_types
+    ]
+
+
+def gen_termlang(t: EqTheory, suffix: str = "L", names: NameSupply | None = None) -> DataDecl:
     """The closed term language: one constructor per function symbol with
     the same arity, axioms dropped, no parameters."""
-    lang = t.name + "Lang"
-    ctors = []
-    for f in t.func_types:
-        ctors.append(Constr(f.name + suffix, arrow_chain([SortRef(lang)] * (arity(f.ty) + 1))))
-    return DataDecl(lang, [], ctors)
+    names = _supply(t, names)
+    lang = names.fresh(t.name + "Lang")
+    return DataDecl(lang, [], _term_constructors(t, lang, suffix, names))
 
 
-def gen_open_termlang(t: EqTheory, suffix: str = "OL") -> DataDecl:
+def gen_open_termlang(t: EqTheory, suffix: str = "OL", names: NameSupply | None = None) -> DataDecl:
     """The term language extended with variables drawn from a parameter
     type ``V``, via a constructor ``v : V -> <name>OpenLang``."""
-    lang = t.name + "OpenLang"
-    ctors = [Constr("v", Arrow(SortRef("V"), SortRef(lang)))]
-    for f in t.func_types:
-        ctors.append(Constr(f.name + suffix, arrow_chain([SortRef(lang)] * (arity(f.ty) + 1))))
-    return DataDecl(lang, [Binder(["V"], SetKind())], ctors)
+    names = _supply(t, names)
+    lang = names.fresh(t.name + "OpenLang")
+    var = names.scope().fresh("V")
+    ctors = [Constr(names.fresh("v"), Arrow(SortRef(var), SortRef(lang)))]
+    return DataDecl(lang, [Binder([var], SetKind())], ctors + _term_constructors(t, lang, suffix, names))
 
 
 # -- homomorphism family ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HomNaming:
-    """Machine-generated names used by the homomorphism family."""
-
-    carrier_names: tuple[str, str]
-    instance_names: tuple[str, str]
-    func_name: str = "hom"
-    pres_prefix: str = "pres-"
-
-    @classmethod
-    def for_theory(cls, t: EqTheory, func_name: str = "hom", pres_prefix: str = "pres-") -> HomNaming:
-        stem = t.name[:2] if len(t.name) >= 2 else t.name
-        sort = t.sort.name
-        return cls((sort + "1", sort + "2"), (stem + "1", stem + "2"), func_name, pres_prefix)
-
-    def validate(self, t: EqTheory) -> None:
-        names = [*self.carrier_names, *self.instance_names]
-        if len(set(names)) != len(names) or t.name in names or self.func_name in names:
-            raise GenError(
-                f"{t.name}: generated names {names} must be pairwise distinct"
-                " and distinct from the theory name"
-            )
+# kind: record name suffix, carrier copies, whether injectivity is stated,
+# and the member prefix used when several of the family share a module
+_HOM_FAMILY = {
+    GenKind.HOM: ("Hom", 2, False, ""),
+    GenKind.MONOMORPHISM: ("Mono", 2, True, "m"),
+    GenKind.ENDOMORPHISM: ("End", 1, False, "e"),
+}
 
 
-def _pick_var_base(reserved: set[str], count: int) -> str:
-    for base in ("x", "y", "z", "u", "v", "w"):
-        if all(f"{base}{i}" not in reserved for i in range(1, count + 1)):
-            return base
-    return "x_"
-
-
-def _hom_like(t: EqTheory, naming: HomNaming, copies: int) -> tuple[list[Binder], list[Constr], set[str]]:
-    """Shared parameter/field scaffolding for hom, mono, and endo."""
+def _hom_record(t: EqTheory, kind: GenKind, names: NameSupply | None, prefixed: bool = False) -> RecordDecl:
+    """The shape hom, mono and endo share: carriers and instances, a
+    carrier map, one preservation axiom per function symbol and, for mono,
+    an injectivity axiom.  Member names come from the module's supply,
+    parameters and bound variables from a scope of this record, so the
+    three records share their local names."""
     if t.waist < 1:
         raise GenError(
             f"{t.name}: homomorphisms need the carrier as a record parameter (waist >= 1)"
         )
-    naming.validate(t)
+    suffix, copies, injective, prefix = _HOM_FAMILY[kind]
+    prefix = prefix if prefixed else ""
+    names = _supply(t, names)
+    name = names.fresh(t.name + suffix)
+    constructor = names.fresh(name + "C")
+    hom_name = names.fresh(prefix + "hom")
+    pres_names = [names.fresh(f"{prefix}pres-{f.name}") for f in t.func_types]
+    injective_name = names.fresh("injective") if injective else ""
+
+    local = names.scope()
     lifted = [t.sort] + t.func_types[: t.waist - 1]
-    param_funcs = {f.name for f in t.func_types[: t.waist - 1]}
-
-    def copy_name(n: str, i: int) -> str:
-        if n == t.sort.name:
-            return naming.carrier_names[i - 1]
-        return f"{n}{i}"
-
+    copy_names = [{e.name: local.fresh(f"{e.name}{i}") for e in lifted} for i in range(1, copies + 1)]
+    instances = [local.fresh(f"{t.name[:2]}{i}") for i in range(1, copies + 1)]
     params: list[Binder] = []
-    for i in range(1, copies + 1):
-        to_carrier = {t.sort.name: SortRef(naming.carrier_names[i - 1])}
-        for entry in lifted:
-            params.append(Binder([copy_name(entry.name, i)], map_names(entry.ty, to_carrier)))
-    instances = [naming.instance_names[i - 1] for i in range(1, copies + 1)]
-    for i, inst in enumerate(instances, start=1):
-        inst_ty = TyApp(t.name, [SortRef(copy_name(e.name, i)) for e in lifted])
-        params.append(Binder([inst], inst_ty))
+    for copy in copy_names:
+        to_carrier = {t.sort.name: SortRef(copy[t.sort.name])}
+        params += [Binder([copy[e.name]], map_names(e.ty, to_carrier)) for e in lifted]
+    for inst, copy in zip(instances, copy_names):
+        params.append(Binder([inst], TyApp(t.name, [SortRef(copy[e.name]) for e in lifted])))
 
-    c1 = naming.carrier_names[0]
-    c2 = naming.carrier_names[1] if copies == 2 else c1
-    hom = Sym(naming.func_name)
-    fields = [Constr(naming.func_name, Arrow(SortRef(c1), SortRef(c2)))]
+    carrier = SortRef(copy_names[0][t.sort.name])
+    hom = Sym(hom_name)
+    fields = [Constr(hom_name, Arrow(carrier, SortRef(copy_names[-1][t.sort.name])))]
+    for f, pres in zip(t.func_types, pres_names):
 
-    reserved = set(t.declared_names()) | {b for p in params for b in p.names} | {naming.func_name}
-    used_vars: set[str] = set()
-    for f in t.func_types:
-        n = arity(f.ty)
-        base = _pick_var_base(reserved, n)
-        xs = [f"{base}{i}" for i in range(1, n + 1)]
-        used_vars.update(xs)
+        def occurrence(k: int, args: list[Term]) -> Term:
+            # a lifted parameter symbol is its copy; a field is projected
+            # through the instance.  With one copy (endo) both sides use it.
+            copy = copy_names[k]
+            if f.name in copy:
+                return apply_spine(Sym(copy[f.name]), args)
+            return apply_spine(Sym(f.name), [Sym(instances[k]), *args])
 
-        def occurrence(i: int) -> list[Term]:
-            # Projection through the instance for fields; the lifted copy
-            # itself for parameter symbols.  With a single instance (endo)
-            # both sides refer to copy 1.
-            i = min(i, copies)
-            if f.name in param_funcs:
-                return [Sym(copy_name(f.name, i))]
-            return [Sym(f.name), Sym(instances[i - 1])]
-
-        src_head = occurrence(1)
-        tgt_head = occurrence(2)
-        lhs = apply_spine(hom, [apply_spine(src_head[0], [*src_head[1:], *map(Var, xs)])])
-        rhs = apply_spine(
-            tgt_head[0],
-            [*tgt_head[1:], *[apply_spine(Sym(naming.func_name), [Var(x)]) for x in xs]],
-        )
-        eq = Equation(lhs, rhs)
-        ty: TypeExpr = (
-            Quant([Binder([x], SortRef(c1)) for x in xs], eq) if xs else eq
-        )
-        fields.append(Constr(naming.pres_prefix + f.name, ty))
-    return params, fields, reserved | used_vars
+        scope = local.scope()
+        xs = [Var(scope.fresh(f"x{i}")) for i in range(1, arity(f.ty) + 1)]
+        eq = Equation(App(hom, occurrence(0, xs)), occurrence(-1, [App(hom, x) for x in xs]))
+        fields.append(Constr(pres, Quant([Binder([x.name], carrier) for x in xs], eq) if xs else eq))
+    if injective:
+        scope = local.scope()
+        x, y = Var(scope.fresh("x")), Var(scope.fresh("y"))
+        inj = Arrow(Equation(App(hom, x), App(hom, y)), Equation(x, y))
+        fields.append(Constr(injective_name, Quant([Binder([x.name, y.name], carrier)], inj)))
+    return RecordDecl(name, params, constructor, fields)
 
 
-def gen_hom(t: EqTheory, naming: HomNaming | None = None) -> RecordDecl:
+def gen_hom(t: EqTheory, names: NameSupply | None = None) -> RecordDecl:
     """The homomorphism record: two carriers, two instances, a carrier map,
     and one preservation axiom per function symbol."""
-    naming = naming or HomNaming.for_theory(t)
-    params, fields, _ = _hom_like(t, naming, copies=2)
-    name = t.name + "Hom"
-    return RecordDecl(name, params, name + "C", fields)
+    return _hom_record(t, GenKind.HOM, names)
 
 
-def gen_monomorphism(t: EqTheory, naming: HomNaming | None = None) -> RecordDecl:
+def gen_monomorphism(t: EqTheory, names: NameSupply | None = None) -> RecordDecl:
     """A homomorphism plus an injectivity axiom."""
-    naming = naming or HomNaming.for_theory(t)
-    params, fields, reserved = _hom_like(t, naming, copies=2)
-    c1 = naming.carrier_names[0]
-    x, y = ("x", "y") if {"x", "y"}.isdisjoint(reserved) else ("x'", "y'")
-    hom = naming.func_name
-    inj = Quant(
-        [Binder([x, y], SortRef(c1))],
-        Arrow(
-            Equation(apply_spine(Sym(hom), [Var(x)]), apply_spine(Sym(hom), [Var(y)])),
-            Equation(Var(x), Var(y)),
-        ),
-    )
-    name = t.name + "Mono"
-    return RecordDecl(name, params, name + "C", fields + [Constr("injective", inj)])
+    return _hom_record(t, GenKind.MONOMORPHISM, names)
 
 
-def gen_endomorphism(t: EqTheory, naming: HomNaming | None = None) -> RecordDecl:
+def gen_endomorphism(t: EqTheory, names: NameSupply | None = None) -> RecordDecl:
     """A homomorphism from one instance to itself: one carrier, one
     instance, preservation axioms over that single instance."""
-    naming = naming or HomNaming.for_theory(t)
-    params, fields, _ = _hom_like(t, naming, copies=1)
-    name = t.name + "End"
-    return RecordDecl(name, params, name + "C", fields)
+    return _hom_record(t, GenKind.ENDOMORPHISM, names)
 
 
 # -- batch generation ---------------------------------------------------------------------
-
-_HOM_FAMILY = (GenKind.HOM, GenKind.MONOMORPHISM, GenKind.ENDOMORPHISM)
-
-# member names must stay distinct inside one module, so when several of the
-# hom family are selected together the later ones get their own prefixes
-_DISAMBIGUATED = {
-    GenKind.HOM: ("hom", "pres-"),
-    GenKind.MONOMORPHISM: ("mhom", "mpres-"),
-    GenKind.ENDOMORPHISM: ("ehom", "epres-"),
-}
 
 
 def gen_all(
     t: EqTheory,
     kinds: list[GenKind] | tuple[GenKind, ...] = DEFAULT_KINDS,
     suffixes: dict[GenKind, str] | None = None,
-    skip_log: list[str] | None = None,
+    names: NameSupply | None = None,
 ) -> list[Decl]:
-    """Generate the selected constructions in catalog order.
-
-    With ``skip_log`` set, a construction that cannot be generated is
-    skipped and a message appended there; otherwise :class:`GenError`
-    propagates.
-    """
+    """Generate the selected constructions in catalog order, drawing every
+    name they add from ``names`` (by default, a supply seeded with the
+    embedded theory)."""
     suffixes = {**DEFAULT_SUFFIXES, **(suffixes or {})}
+    names = _supply(t, names)
     selected = sorted(set(kinds), key=_CATALOG_ORDER.get)
-    hom_selected = [k for k in selected if k in _HOM_FAMILY]
-
-    def hom_naming(kind: GenKind) -> HomNaming:
-        func, prefix = _DISAMBIGUATED[kind] if len(hom_selected) > 1 else ("hom", "pres-")
-        return HomNaming.for_theory(t, func_name=func, pres_prefix=prefix)
-
-    def build(kind: GenKind) -> Decl:
-        if kind is GenKind.SIGNATURE:
-            return embed(gen_signature(t, suffixes[kind]))
-        if kind is GenKind.PRODUCT:
-            return embed(gen_product(t, suffixes[kind]))
-        if kind is GenKind.TERM_LANG:
-            return gen_termlang(t, suffixes[kind])
-        if kind is GenKind.OPEN_TERM_LANG:
-            return gen_open_termlang(t, suffixes[kind])
-        if kind is GenKind.HOM:
-            return gen_hom(t, hom_naming(kind))
-        if kind is GenKind.MONOMORPHISM:
-            return gen_monomorphism(t, hom_naming(kind))
-        return gen_endomorphism(t, hom_naming(kind))
+    prefixed = sum(k in _HOM_FAMILY for k in selected) > 1
 
     out: list[Decl] = []
     for kind in selected:
-        try:
-            out.append(build(kind))
-        except GenError as e:
-            if skip_log is None:
-                raise
-            skip_log.append(f"{t.name}: skipped {kind.flag}: {e}")
-
-    seen: set[str] = set(decl_member_names(embed(t))) | {t.name + "C"}
-    for d in out:
-        for n in decl_member_names(d):
-            if n in seen:
-                raise GenError(f"{t.name}: generated member name {n!r} is not unique")
-            seen.add(n)
+        if kind is GenKind.SIGNATURE:
+            out.append(_record(gen_signature(t, suffixes[kind], names), names))
+        elif kind is GenKind.PRODUCT:
+            out.append(_record(gen_product(t, suffixes[kind], names), names))
+        elif kind is GenKind.TERM_LANG:
+            out.append(gen_termlang(t, suffixes[kind], names))
+        elif kind is GenKind.OPEN_TERM_LANG:
+            out.append(gen_open_termlang(t, suffixes[kind], names))
+        else:
+            out.append(_hom_record(t, kind, names, prefixed))
     return out
 
 
@@ -364,7 +349,7 @@ __all__ = [
     "DEFAULT_SUFFIXES",
     "GenError",
     "GenKind",
-    "HomNaming",
+    "NameSupply",
     "PROD_TYPE_NAME",
     "gen_all",
     "gen_endomorphism",

@@ -11,6 +11,7 @@ import pytest
 
 import theoryforge
 from conftest import DATA, tree_hash
+from theoryforge.ast import Arrow, Constr, DataDecl, SortRef
 from theoryforge.cli import main
 from theoryforge.combinators import standard_library_path
 from theoryforge.parser import parse_file
@@ -245,46 +246,39 @@ def test_lib_output_and_summary_are_the_same_on_any_number_of_processes(workdir,
     assert runs["1"][1].out == "theories=62 definitions=496 lines=3907\n"
 
 
-def test_lib_skip_lines_come_out_in_theory_order_on_any_number_of_processes(workdir, capsys):
-    # A1 and A2 clash with the hom family's carrier copies A1/A2, so their
-    # hom is skipped; at --jobs 2 the two skips happen in different processes
-    lib = workdir / "clash.lib"
-    lib.write_text(
-        "theory Carrier = base { A : Set }\n"
-        "theory Magma = extend Carrier with { op : A → A → A }\n"
-        "theory A1 = extend Carrier with { op : A → A → A }\n"
-        "theory A2 = extend Magma with { e : A }\n",
-        encoding="utf-8",
-    )
-    runs = []
-    for jobs in ("1", "2", "3"):
-        assert main(["lib", str(lib), "--constructions", "sig,hom", "--out", f"out{jobs}", "--jobs", jobs]) == 0
-        runs.append((tree_hash(workdir / f"out{jobs}"), capsys.readouterr()))
-    assert runs[0] == runs[1] == runs[2]
-    err = runs[0][1].err.splitlines()
-    assert [line.split(":")[0] for line in err] == ["A1", "A2"]
-    assert all("skipped hom" in line for line in err)
+def _plain(name: str) -> str:
+    return f"record {name} (A : Set) : Set where\n  field\n    op{name} : A → A → A\n"
 
 
-def _capture_prone(name: str) -> str:
-    # the hom family names its instance parameters <first two letters>1/2,
-    # which captures a field named <name>1 when the name has two letters
-    return f"record {name} (A : Set) : Set where\n  field\n    {name}1 : A → A → A\n"
+@pytest.fixture()
+def rejected(monkeypatch):
+    """Make ``cli.gen_all`` add, for every theory but Monoid, a construction
+    its module fails to check: a data type over an undeclared type.  Forked
+    workers inherit the patch."""
+    from theoryforge import cli
+
+    gen_all = cli.gen_all
+
+    def with_rejected(t, *args, **kwargs):
+        decls = gen_all(t, *args, **kwargs)
+        if t.name != "Monoid":
+            decls.append(DataDecl(t.name + "Bad", [], [Constr("bad", Arrow(SortRef("No"), SortRef("No")))]))
+        return decls
+
+    monkeypatch.setattr(cli, "gen_all", with_rejected)
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
-def test_gen_writes_no_file_of_a_theory_whose_module_fails_its_check(workdir, capsys, jobs):
+def test_gen_writes_no_file_of_a_theory_whose_module_fails_its_check(workdir, capsys, rejected, jobs):
     # at --jobs 2, Mo is the second theory and runs in a forked process
     source = workdir / "mo.eqt"
     monoid = (DATA / "monoid.eqt").read_text(encoding="utf-8")
-    source.write_text(monoid + "\n" + _capture_prone("Mo"), encoding="utf-8")
+    source.write_text(monoid + "\n" + _plain("Mo"), encoding="utf-8")
     assert main(["gen", str(source), "--constructions", "hom,endo", "--out", "out", "--jobs", jobs]) == 2
     captured = capsys.readouterr()
     assert captured.out.splitlines() == [
-        "out/Mo/module.gen.eqt:10:43: ArityMismatch: 'Mo1' expects 0 argument(s), got 3",
-        "out/Mo/module.gen.eqt:10:61: ArityMismatch: 'Mo1' expects 0 argument(s), got 3",
-        "out/Mo/module.gen.eqt:16:45: ArityMismatch: 'Mo1' expects 0 argument(s), got 3",
-        "out/Mo/module.gen.eqt:16:63: ArityMismatch: 'Mo1' expects 0 argument(s), got 3",
+        "out/Mo/module.gen.eqt:19:9: UnboundName: unknown type 'No'",
+        "out/Mo/module.gen.eqt:19:14: UnboundName: unknown type 'No'",
     ]
     assert captured.err == ""
     assert not (workdir / "out" / "Mo").exists()
@@ -293,10 +287,10 @@ def test_gen_writes_no_file_of_a_theory_whose_module_fails_its_check(workdir, ca
     ]
 
 
-def test_gen_check_failures_print_the_same_on_any_number_of_processes(workdir, capsys):
+def test_gen_check_failures_print_the_same_on_any_number_of_processes(workdir, capsys, rejected):
     monoid = (DATA / "monoid.eqt").read_text(encoding="utf-8")
     source = workdir / "caps.eqt"
-    records = [_capture_prone("Mo"), _capture_prone("Qu"), monoid, _capture_prone("Ri")]
+    records = [_plain("Mo"), _plain("Qu"), monoid, _plain("Ri")]
     source.write_text("\n".join(records), encoding="utf-8")
     runs = []
     for jobs in ("1", "2", "3"):
@@ -306,27 +300,74 @@ def test_gen_check_failures_print_the_same_on_any_number_of_processes(workdir, c
         shutil.rmtree(workdir / "out")
     assert runs[0] == runs[1] == runs[2]
     out = runs[0][1].out.splitlines()
-    assert [line.split("/")[1] for line in out] == ["Mo"] * 4 + ["Qu"] * 4 + ["Ri"] * 4
+    assert [line.split("/")[1] for line in out] == ["Mo"] * 2 + ["Qu"] * 2 + ["Ri"] * 2
 
 
 def test_gen_failure_names_the_first_failing_theory_on_any_number_of_processes(workdir, capsys):
-    # A1 and A2 cannot get a hom; at --jobs 2 A2 (index 2) fails in this
-    # process and A1 (index 1) in the forked one, and A1 is reported
-    def clash(name: str) -> str:
-        return f"record {name} (A : Set) : Set where\n  field\n    op{name} : A → A → A\n"
-
+    # regular files stand where A1's and A2's output directories go, so
+    # both fail to write; at --jobs 2 A2 (index 2) fails in this process and
+    # A1 (index 1) in the forked one, and A1 is reported
     monoid = (DATA / "monoid.eqt").read_text(encoding="utf-8")
     source = workdir / "clash.eqt"
-    source.write_text("\n".join([monoid, clash("A1"), clash("A2")]), encoding="utf-8")
+    source.write_text("\n".join([monoid, _plain("A1"), _plain("A2")]), encoding="utf-8")
+    (workdir / "out").mkdir()
+    for name in ("A1", "A2"):
+        (workdir / "out" / name).write_text("", encoding="utf-8")
     errors = []
     for jobs in ("1", "2"):
-        assert main(["gen", str(source), "--out", f"out{jobs}", "--jobs", jobs]) == 3
+        assert main(["gen", str(source), "--out", "out", "--jobs", jobs]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         errors.append(captured.err)
     assert errors[0] == errors[1]
-    assert errors[0].startswith(f"{source}: A1: generated names")
+    assert errors[0].startswith(f"{source}: cannot write to out: ")
+    assert "'out/A1'" in errors[0] and "A2" not in errors[0]
     assert multiprocessing.active_children() == []
+
+
+# each record passes check, and at the parent of the fresh-name supply each
+# one failed under gen with all seven constructions
+CLASHES = {
+    "instance-name": "record Mo (A : Set) : Set where\n  field\n    Mo1 : A → A → A\n",
+    "fst": "record M (A : Set) : Set where\n  field\n    fst : A → A → A\n",
+    "suffixed-field": "record M (A : Set) : Set where\n  field\n    e : A\n    eS : A\n",
+    "hom": "record M (A : Set) : Set where\n  field\n    hom : A → A → A\n",
+    "v": "record M (A : Set) : Set where\n  field\n    v : A → A\n",
+    "injective": "record M (A : Set) : Set where\n  field\n    injective : A → A\n",
+    "Prod": "record Prod (A : Set) : Set where\n  field\n    op : A → A → A\n",
+    "bound-variable": (
+        "record M (A : Set) : Set where\n  field\n    op : A → A → A\n"
+        "    comm : {opS y : A} → op opS y == op y opS\n"
+    ),
+    "bound-variable-in-product": (
+        "record M (A : Set) : Set where\n  field\n    op : A → A → A\n"
+        "    comm : {opP y : A} → op opP y == op y opP\n"
+    ),
+    "axiom-names": (
+        "record M (A : Set) : Set where\n  field\n    e : A\n    op : A → A → A\n"
+        "    lunit : {x : A} → op e x == x\n    lunit_e : {x : A} → op x x == x\n"
+    ),
+    "constructor": "record M (A : Set) : Set where\n  constructor hom\n  field\n    op : A → A → A\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLASHES))
+def test_gen_gives_clean_modules_where_generated_names_would_clash(workdir, capsys, name):
+    # the clash record comes second, so at --jobs 2 it runs in a forked process
+    source = workdir / "clash.eqt"
+    source.write_text("record Carrier (B : Set) : Set where\n\n" + CLASHES[name], encoding="utf-8")
+    kinds = "sig,prod,termlang,open-termlang,hom,mono,endo"
+    trees = []
+    for jobs in ("1", "2"):
+        out = workdir / f"out{jobs}"
+        assert main(["gen", str(source), "--constructions", kinds, "--out", str(out), "--jobs", jobs]) == 0
+        modules = sorted(out.glob("*/module.gen.eqt"))
+        assert len(modules) == 2
+        assert main(["check", *map(str, modules)]) == 0
+        trees.append(tree_hash(out))
+    assert trees[0] == trees[1]
+    captured = capsys.readouterr()
+    assert captured.out == captured.err == ""
 
 
 def test_out_on_a_regular_file_fails_the_same_on_any_number_of_processes(workdir, capsys):

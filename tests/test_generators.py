@@ -19,7 +19,6 @@ from theoryforge.generators import (
     DEFAULT_KINDS,
     GenError,
     GenKind,
-    HomNaming,
     gen_all,
     gen_endomorphism,
     gen_hom,
@@ -177,12 +176,6 @@ def test_hom_requires_carrier_parameter(monoid):
     t = extract(parse_decl("record M : Set where\n  field\n    A : Set\n    e : A"))
     with pytest.raises(GenError, match="waist"):
         gen_hom(t)
-
-
-def test_hom_naming_validation(monoid):
-    naming = HomNaming(("A1", "A1"), ("Mo1", "Mo2"))
-    with pytest.raises(GenError, match="distinct"):
-        gen_hom(monoid, naming)
 
 
 def test_monomorphism_is_hom_plus_injectivity(library):
