@@ -23,17 +23,16 @@ from pathlib import Path
 from typing import Union
 
 from . import lexer
-from .ast import Binder, Constr, RecordDecl, SetKind, arity
-from .lexer import LexError, tokenize
-from .parser import ParseError, Parser
+from .ast import Binder, Constr, RecordDecl, SetKind
+from .lexer import tokenize
+from .parser import Parser
 from .theory import (
     CollisionError,
     EqTheory,
     ShapeError,
-    constr_to_axiom,
     extract,
-    is_sort_chain,
     rename_with,
+    split_entries,
 )
 
 
@@ -98,23 +97,16 @@ def _parent(ctx: Library, name: str, wanted_by: str) -> EqTheory:
 
 
 def _expand_extend(e: Extend, parent: EqTheory) -> EqTheory:
-    sort = parent.sort.name
-    funcs = list(parent.func_types)
-    axioms = list(parent.axioms)
+    """The block is read like a record's fields after the parent's."""
     names = set(parent.declared_names())
-    arities = parent.arities
     for c in e.new_decls:
         if isinstance(c.ty, SetKind):
             raise ShapeError(f"{c.name!r}: the sort may not be re-declared by extend")
         if c.name in names:
             raise ClashError(f"{c.name!r} already exists in {parent.name!r}")
         names.add(c.name)
-        if is_sort_chain(c.ty, sort):
-            funcs.append(Constr(c.name, c.ty))
-            arities[c.name] = arity(c.ty)
-        else:
-            axioms.append(constr_to_axiom(c, sort, arities))
-    return EqTheory(e.name, parent.sort, funcs, axioms, parent.waist)
+    funcs, axioms = split_entries(e.new_decls, parent.sort.name, parent.arities)
+    return EqTheory(e.name, parent.sort, parent.func_types + funcs, parent.axioms + axioms, parent.waist)
 
 
 def _expand_combine(e: Combine, left: EqTheory, right: EqTheory, over: EqTheory) -> EqTheory:
@@ -196,6 +188,9 @@ def expand_library(entries: list[TheoryExpr]) -> Library:
 
 # -- .lib parsing ----------------------------------------------------------------
 
+_COMBINATORS = ("base", "extend", "rename", "combine")
+
+
 class _LibParser(Parser):
     def parse_library(self) -> list[TheoryExpr]:
         entries: list[TheoryExpr] = []
@@ -203,56 +198,34 @@ class _LibParser(Parser):
             entries.append(self._parse_entry())
         return entries
 
-    def _expect_word(self, word: str) -> None:
-        tok = self._peek()
-        if tok.kind != lexer.NAME or tok.value != word:
-            raise ParseError(f"expected {word!r}, got {tok.value!r}", tok.line, tok.col, (word,))
-        self._advance()
-
     def _parse_entry(self) -> TheoryExpr:
-        self._expect_word("theory")
+        self._expect(lexer.NAME, "theory")
         name = self._expect_name().value
         self._expect(lexer.EQ)
         tok = self._peek()
         if tok.kind != lexer.NAME:
-            raise ParseError(
-                f"expected a combinator, got {tok.value!r}",
-                tok.line,
-                tok.col,
-                ("base", "extend", "rename", "combine"),
-            )
+            raise self._error(f"expected a combinator, got {tok.value!r}", tok, _COMBINATORS)
+        self._advance()
         if tok.value == "base":
-            self._advance()
-            decls = self._parse_block()
-            return Base(name, self._assemble_base(name, decls, tok))
+            return Base(name, self._assemble_base(name, self._parse_block(), tok))
         if tok.value == "extend":
-            self._advance()
             parent = self._expect_name().value
-            self._expect_word("with")
+            self._expect(lexer.NAME, "with")
             return Extend(name, parent, self._parse_block())
         if tok.value == "rename":
-            self._advance()
             parent = self._expect_name().value
-            self._expect_word("renaming")
+            self._expect(lexer.NAME, "renaming")
             return Rename(name, parent, self._parse_mapping())
         if tok.value == "combine":
-            self._advance()
             left = self._expect_name().value
             right = self._expect_name().value
-            self._expect_word("over")
+            self._expect(lexer.NAME, "over")
             return Combine(name, left, right, self._expect_name().value)
-        raise ParseError(
-            f"unknown combinator {tok.value!r}",
-            tok.line,
-            tok.col,
-            ("base", "extend", "rename", "combine"),
-        )
+        raise self._error(f"unknown combinator {tok.value!r}", tok, _COMBINATORS)
 
     def _parse_block(self) -> list[Constr]:
         self._expect(lexer.LBRACE)
-        decls: list[Constr] = []
-        while self.at_constr_start():
-            decls.append(self.parse_constr())
+        decls = self._parse_constr_block()
         self._expect(lexer.RBRACE)
         return decls
 
@@ -261,10 +234,10 @@ class _LibParser(Parser):
         mapping: dict[str, str] = {}
         while True:
             src = self._expect_name()
-            self._expect_word("to")
+            self._expect(lexer.NAME, "to")
             dst = self._expect_name()
             if src.value in mapping:
-                raise ParseError(f"{src.value!r} renamed twice", src.line, src.col)
+                raise self._error(f"{src.value!r} renamed twice", src)
             mapping[src.value] = dst.value
             if self._peek().kind == lexer.COMMA:
                 self._advance()
@@ -273,25 +246,16 @@ class _LibParser(Parser):
         self._expect(lexer.RPAREN)
         return mapping
 
-    @staticmethod
-    def _assemble_base(name: str, decls: list[Constr], tok: lexer.Token) -> RecordDecl:
+    def _assemble_base(self, name: str, decls: list[Constr], tok: lexer.Token) -> RecordDecl:
         if not decls or not isinstance(decls[0].ty, SetKind):
-            raise ParseError(
-                f"base theory {name!r} must declare its sort first (e.g. 'A : Set')",
-                tok.line,
-                tok.col,
-            )
+            raise self._error(f"base theory {name!r} must declare its sort first (e.g. 'A : Set')", tok)
         sort = decls[0]
         params = [Binder([sort.name], sort.ty, pos=sort.pos)]
         return RecordDecl(name, params, name + "C", decls[1:], pos=(tok.line, tok.col))
 
 
 def parse_library(source: str) -> list[TheoryExpr]:
-    try:
-        tokens = tokenize(source)
-    except LexError as e:
-        raise ParseError(e.message, e.line, e.col) from e
-    return _LibParser(tokens).parse_library()
+    return _LibParser(tokenize(source)).parse_library()
 
 
 def load_library(path: Path | str) -> Library:

@@ -55,7 +55,8 @@ class GenError(Exception):
 
 
 class GenKind(enum.Enum):
-    """Catalog of constructions, in emission order."""
+    """Catalog of constructions, in emission order; each value is the
+    construction's command-line name."""
 
     SIGNATURE = "sig"
     PRODUCT = "prod"
@@ -65,12 +66,6 @@ class GenKind(enum.Enum):
     MONOMORPHISM = "mono"
     ENDOMORPHISM = "endo"
 
-    @property
-    def flag(self) -> str:
-        return self.value
-
-
-_CATALOG_ORDER = {k: i for i, k in enumerate(GenKind)}
 
 DEFAULT_KINDS: tuple[GenKind, ...] = (
     GenKind.SIGNATURE,
@@ -88,10 +83,10 @@ DEFAULT_SUFFIXES: dict[GenKind, str] = {
 
 
 def kind_from_flag(flag: str) -> GenKind:
-    for k in GenKind:
-        if k.flag == flag:
-            return k
-    raise ValueError(f"unknown construction {flag!r}")
+    try:
+        return GenKind(flag)
+    except ValueError:
+        raise ValueError(f"unknown construction {flag!r}") from None
 
 
 # -- names ------------------------------------------------------------------------
@@ -326,7 +321,7 @@ def gen_all(
     embedded theory)."""
     suffixes = {**DEFAULT_SUFFIXES, **(suffixes or {})}
     names = _supply(t, names)
-    selected = sorted(set(kinds), key=_CATALOG_ORDER.get)
+    selected = [k for k in GenKind if k in kinds]
     prefixed = sum(k in _HOM_FAMILY for k in selected) > 1
 
     out: list[Decl] = []

@@ -23,12 +23,23 @@ from typing import NamedTuple
 from .ast import RESERVED_WORDS
 
 
-class LexError(Exception):
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"{line}:{col}: {message}")
+class ParseError(Exception):
+    """Syntax error, from the lexer or a parser, with position and the set
+    of token kinds that would have been accepted."""
+
+    def __init__(self, message: str, line: int, col: int, expected: tuple[str, ...] = ()):
+        detail = f"{line}:{col}: {message}"
+        if expected:
+            detail += f" (expected one of: {', '.join(sorted(expected))})"
+        super().__init__(detail)
         self.message = message
         self.line = line
         self.col = col
+        self.expected = expected
+
+
+# the lexer's errors are the parsers' errors; the old name stays an alias
+LexError = ParseError
 
 
 # Token kinds
@@ -98,12 +109,12 @@ def _classify(item: str, line: int, col: int) -> tuple[str, str | None]:
     c = text[0]
     if c == "-":
         if text == "-":
-            raise LexError("unexpected '-'", line, col)
+            raise ParseError("unexpected '-'", line, col)
         return _COMMENT, None
     # [^\W\d] also admits numeric non-digits such as '²'
     if c.isalpha() or c == "_":
         return KEYWORD if text in RESERVED_WORDS else NAME, text
-    raise LexError(f"unexpected character {c!r}", line, col)
+    raise ParseError(f"unexpected character {c!r}", line, col)
 
 
 def tokenize(source: str) -> list[Token]:
@@ -147,6 +158,7 @@ __all__ = [
     "LPAREN",
     "LexError",
     "NAME",
+    "ParseError",
     "RBRACE",
     "RPAREN",
     "Token",

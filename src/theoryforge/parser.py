@@ -68,27 +68,12 @@ from .lexer import (
     NAME,
     RBRACE,
     RPAREN,
-    LexError,
+    ParseError,
     Token,
     tokenize,
 )
 
 MAX_NESTING = 200
-
-
-class ParseError(Exception):
-    """Syntax error with position and the set of token kinds that would
-    have been accepted."""
-
-    def __init__(self, message: str, line: int, col: int, expected: tuple[str, ...] = ()):
-        detail = f"{line}:{col}: {message}"
-        if expected:
-            detail += f" (expected one of: {', '.join(sorted(expected))})"
-        super().__init__(detail)
-        self.message = message
-        self.line = line
-        self.col = col
-        self.expected = expected
 
 
 class Parser:
@@ -138,9 +123,6 @@ class Parser:
         self.pos += 1
         return tok
 
-    def _expect_keyword(self, word: str) -> Token:
-        return self._expect(KEYWORD, word)
-
     def _expect_name(self) -> Token:
         tok = self.tokens[self.pos]
         if tok.kind != NAME:
@@ -168,14 +150,19 @@ class Parser:
 
     # -- declarations ------------------------------------------------------------
 
-    def _parse_record(self) -> RecordDecl:
-        start = self._expect_keyword("record")
+    def _parse_header(self, keyword: str) -> tuple[Token, Token, list[Binder]]:
+        """``keyword NAME binder* ":" "Set" "where"``: the keyword token, the
+        name token and the binders."""
+        start = self._expect(KEYWORD, keyword)
         name = self._expect_name()
         params = self._parse_binders()
         self._expect(COLON)
-        self._expect_keyword("Set")
-        self._expect_keyword("where")
+        self._expect(KEYWORD, "Set")
+        self._expect(KEYWORD, "where")
+        return start, name, params
 
+    def _parse_record(self) -> RecordDecl:
+        start, name, params = self._parse_header("record")
         ctor_name = name.value + "C"
         tok = self._peek()
         if tok.kind == KEYWORD and tok.value == "constructor":
@@ -190,12 +177,7 @@ class Parser:
         return RecordDecl(name.value, params, ctor_name, fields, start[2:])
 
     def _parse_data(self) -> DataDecl:
-        start = self._expect_keyword("data")
-        name = self._expect_name()
-        params = self._parse_binders()
-        self._expect(COLON)
-        self._expect_keyword("Set")
-        self._expect_keyword("where")
+        start, name, params = self._parse_header("data")
         ctors = self._parse_constr_block()
         return DataDecl(name.value, params, ctors, start[2:])
 
@@ -364,11 +346,7 @@ class Parser:
 
 def parse_file(source: str) -> list[Decl]:
     """Parse the top-level declarations of one source text, in order."""
-    try:
-        tokens = tokenize(source)
-    except LexError as e:
-        raise ParseError(e.message, e.line, e.col) from e
-    return Parser(tokens).parse_file()
+    return Parser(tokenize(source)).parse_file()
 
 
 def parse_decl(source: str) -> Decl:

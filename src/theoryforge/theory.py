@@ -6,8 +6,10 @@ many leading telescope entries are record parameters rather than fields.
 
 ``extract`` reads this shape off a record declaration, ``embed`` writes it
 back, and ``rename`` rewrites declared names consistently everywhere they
-occur.  Quantifier structure of axioms (grouping and hidden/explicit marks)
-is preserved verbatim so that ``embed(extract(d)) == d`` for records in
+occur.  ``split_entries`` tells function symbols from axioms, for a
+record's entries and for the block of a library's ``extend`` alike.
+Quantifier structure of axioms (grouping and hidden/explicit marks) is
+preserved verbatim so that ``embed(extract(d)) == d`` for records in
 telescope order.
 """
 
@@ -90,11 +92,6 @@ class EqTheory:
 
 # -- extraction -----------------------------------------------------------------
 
-def is_sort_chain(ty: TypeExpr, sort: str) -> bool:
-    parts = arrow_components(ty)
-    return all(isinstance(p, SortRef) and p.name == sort for p in parts)
-
-
 def _check_axiom_term(t: Term, vars_: Container[str], arities: Mapping[str, int], where: str) -> None:
     head, args = spine(t)
     if isinstance(head, Var):
@@ -137,52 +134,53 @@ def constr_to_axiom(c: Constr, sort: str, arities: dict[str, int]) -> Axiom:
     return Axiom(c.name, binders, body.lhs, body.rhs, pos=c.pos)
 
 
+def split_entries(
+    entries: list[Constr], sort: str, arities: Mapping[str, int]
+) -> tuple[list[Constr], list[Axiom]]:
+    """Split telescope entries that follow the sort into function symbols,
+    the arrow chains over ``sort``, and axioms; a higher-order type is a
+    :class:`ShapeError`.  Each axiom is checked against the arities of the
+    symbols declared before the entries (``arities``) and of every symbol
+    among them, wherever it stands."""
+    funcs: list[Constr] = []
+    rest: list[Constr] = []
+    for c in entries:
+        parts = arrow_components(c.ty)
+        if all(isinstance(p, SortRef) and p.name == sort for p in parts):
+            funcs.append(c)
+        elif any(isinstance(p, Arrow) for p in parts):
+            raise ShapeError(f"{c.name!r}: higher-order argument types are not supported")
+        else:
+            rest.append(c)
+    arities = {**arities, **{f.name: arity(f.ty) for f in funcs}}
+    return funcs, [constr_to_axiom(c, sort, arities) for c in rest]
+
+
 def extract(d: RecordDecl) -> EqTheory:
     """Read the equational-theory shape off a record declaration.
 
-    The unique ``Set``-typed entry is the sort; arrow chains over it are the
-    function symbols; quantified equations are the axioms; the parameter
-    count is the waist.  Raises :class:`ShapeError` otherwise.
+    The unique ``Set``-typed entry is the sort; the other entries are split
+    by :func:`split_entries`; the parameter count is the waist.  Raises
+    :class:`ShapeError` otherwise.  Messages do not name the record.
     """
-    telescope: list[Constr] = []
-    for b in d.params:
-        for n in b.names:
-            telescope.append(Constr(n, b.ty, pos=b.pos))
+    telescope = [Constr(n, b.ty, pos=b.pos) for b in d.params for n in b.names]
+    waist = len(telescope)
     telescope.extend(d.fields)
-    waist = sum(len(b.names) for b in d.params)
 
     sorts = [c for c in telescope if isinstance(c.ty, SetKind)]
     if not sorts:
-        raise ShapeError(f"{d.name}: no sort declaration (a field of type Set)")
+        raise ShapeError("no sort declaration (a field of type Set)")
     if len(sorts) > 1:
         names = ", ".join(s.name for s in sorts)
-        raise ShapeError(f"{d.name}: multiple sorts ({names}); theories are single-sorted")
+        raise ShapeError(f"multiple sorts ({names}); theories are single-sorted")
     sort = sorts[0]
 
-    func_types: list[Constr] = []
-    func_ids: set[int] = set()
-    for c in telescope:
-        if c is sort:
-            continue
-        if is_sort_chain(c.ty, sort.name):
-            func_types.append(c)
-            func_ids.add(id(c))
-        elif isinstance(c.ty, Arrow):
-            parts = arrow_components(c.ty)
-            if any(isinstance(p, Arrow) for p in parts):
-                raise ShapeError(f"{d.name}.{c.name}: higher-order argument types are not supported")
-
-    arities = {f.name: arity(f.ty) for f in func_types}
-    axioms: list[Axiom] = []
-    for c in telescope:
-        if c is sort or id(c) in func_ids:
-            continue
-        axioms.append(constr_to_axiom(c, sort.name, arities))
-
-    names = [sort.name] + list(arities) + [a.name for a in axioms]
+    funcs, axioms = split_entries([c for c in telescope if c is not sort], sort.name, {})
+    t = EqTheory(d.name, sort, funcs, axioms, waist)
+    names = t.declared_names()
     if len(set(names)) != len(names):
-        raise ShapeError(f"{d.name}: duplicate declaration names")
-    return EqTheory(d.name, sort, func_types, axioms, waist)
+        raise ShapeError("duplicate declaration names")
+    return t
 
 
 # -- renaming --------------------------------------------------------------------
@@ -325,8 +323,8 @@ __all__ = [
     "constr_to_axiom",
     "embed",
     "extract",
-    "is_sort_chain",
     "mentioned_constants",
     "rename",
     "rename_with",
+    "split_entries",
 ]

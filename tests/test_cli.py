@@ -133,6 +133,22 @@ def test_gen_rejects_non_theory_input(workdir, capsys):
     assert "not a record" in capsys.readouterr().err
 
 
+def test_gen_shape_error_names_the_theory_once(workdir, capsys):
+    path = workdir / "twosorts.eqt"
+    path.write_text("record M (A : Set) : Set where\n  field\n    B : Set\n", encoding="utf-8")
+    assert main(["gen", str(path), "--out", "out"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"{path}: M: multiple sorts (A, B); theories are single-sorted"]
+    assert not (workdir / "out").exists()
+
+
+def test_gen_unknown_construction_is_named(workdir, capsys):
+    path = copy_fixture("monoid.eqt", workdir)
+    assert main(["gen", str(path), "--out", "out", "--constructions", "sig,bogus"]) == 3
+    assert capsys.readouterr().err.splitlines() == ["unknown construction 'bogus'"]
+
+
 def test_gen_propagates_check_failure(workdir):
     path = copy_fixture("bad_unbound_name.eqt", workdir)
     assert main(["gen", str(path), "--out", "out"]) == 2
@@ -223,6 +239,17 @@ def test_lib_expansion_failure_names_entry(workdir, capsys):
     assert main(["lib", str(lib), "--out", "libout"]) == 3
     err = capsys.readouterr().err
     assert "Bad" in err and "Missing" in err
+
+
+def test_lib_shape_error_names_the_theory_once(workdir, capsys):
+    lib = workdir / "two.lib"
+    lib.write_text("theory T = base { A : Set  B : Set }\n", encoding="utf-8")
+    assert main(["lib", str(lib), "--out", "libout"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"{lib}: while expanding 'T': multiple sorts (A, B); theories are single-sorted"
+    ]
 
 
 def test_lib_accepts_orient_assoc_flag(workdir):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from theoryforge.combinators import (
@@ -12,8 +14,8 @@ from theoryforge.combinators import (
     parse_library,
     standard_library_path,
 )
-from theoryforge.parser import ParseError
-from theoryforge.theory import extract
+from theoryforge.parser import ParseError, parse_decl
+from theoryforge.theory import ShapeError, embed, extract
 
 MONOID_VIA_COMBINATORS = """
 theory Carrier = base { A : Set }
@@ -192,3 +194,51 @@ def test_expansion_is_deterministic(library):
     assert [e.name for e in again.entries] == [e.name for e in library.entries]
     for name, t in again.expanded.items():
         assert t == library.expanded[name]
+
+
+def test_library_cut_short_names_end_of_input():
+    with pytest.raises(ParseError) as exc:
+        parse_library("theory T = base { A : Set }\ntheory U = extend T")
+    e = exc.value
+    assert (e.line, e.col, e.message) == (2, 20, "expected 'with', got end of input")
+
+
+def test_extend_refuses_higher_order_like_a_record():
+    with pytest.raises(ShapeError) as record:
+        extract(parse_decl("record T (A : Set) : Set where\n  field\n    f : (A → A) → A"))
+    with pytest.raises(LibraryError) as lib:
+        expand_library(parse_library(
+            "theory T = base { A : Set }\ntheory U = extend T with { f : (A → A) → A }"
+        ))
+    assert str(lib.value.cause) == str(record.value)
+    assert "higher-order" in str(record.value)
+
+
+def test_extend_axiom_may_use_an_operation_declared_later_in_its_block():
+    lib = expand_library(parse_library("""
+theory Carrier = base { A : Set }
+theory Q = extend Carrier with {
+  fix : {x : A} → f (f x) == f x
+  f : A → A
+}
+"""))
+    q = lib.expanded["Q"]
+    assert [c.name for c in q.func_types] == ["f"]
+    assert [a.name for a in q.axioms] == ["fix"]
+
+
+def test_base_with_two_operations_of_one_name_is_refused():
+    with pytest.raises(LibraryError, match="duplicate declaration names"):
+        expand_library(parse_library("theory T = base { A : Set  f : A  f : A → A }"))
+
+
+def test_extend_reads_its_block_like_record_fields_after_the_parent(library):
+    checked = 0
+    for entry in library.entries:
+        if not isinstance(entry, Extend):
+            continue
+        parent = embed(library.expanded[entry.parent])
+        record = replace(parent, name=entry.name, fields=parent.fields + entry.new_decls)
+        assert extract(record) == library.expanded[entry.name], entry.name
+        checked += 1
+    assert checked > 0

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import DATA
-from theoryforge import lexer
+from theoryforge import lexer, parser
 from theoryforge.ast import RESERVED_WORDS
 from theoryforge.combinators import standard_library_path
 from theoryforge.lexer import LexError, Token, tokenize
@@ -183,3 +183,10 @@ def test_token_shape_and_repr():
 def test_trailing_comment_puts_eof_at_the_comment():
     assert tokenize("a -- tail")[-1] == Token(lexer.EOF, "", 1, 3)
     assert tokenize("a -- tail\n")[-1] == Token(lexer.EOF, "", 2, 1)
+
+
+def test_tokenize_raises_the_parsers_error_type():
+    assert lexer.ParseError is parser.ParseError
+    with pytest.raises(parser.ParseError) as exc:
+        tokenize("a\n  #")
+    assert (exc.value.line, exc.value.col, exc.value.message) == (2, 3, "unexpected character '#'")
