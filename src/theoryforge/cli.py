@@ -99,8 +99,12 @@ def _read_config_file(directory: Path) -> dict[str, str]:
     path = directory / CONFIG_FILE
     if not path.is_file():
         return {}
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: {e}") from None
     values: dict[str, str] = {}
-    for raw in path.read_text(encoding="utf-8").splitlines():
+    for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -344,7 +348,7 @@ def cmd_check(paths: list[Path]) -> int:
     for path in paths:
         try:
             decls = parse_file(path.read_text(encoding="utf-8"))
-        except (OSError, ParseError) as e:
+        except (OSError, UnicodeDecodeError, ParseError) as e:
             line = _parse_error_line(path, e) if isinstance(e, ParseError) else f"{path}: {e}"
             print(line, file=sys.stderr)
             worst = EXIT_PARSE
@@ -360,7 +364,7 @@ def cmd_check(paths: list[Path]) -> int:
 def cmd_gen(path: Path, cfg: RunConfig) -> int:
     try:
         decls = parse_file(path.read_text(encoding="utf-8"))
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         print(f"{path}: {e}", file=sys.stderr)
         return EXIT_PARSE
     except ParseError as e:
@@ -392,7 +396,7 @@ def cmd_gen(path: Path, cfg: RunConfig) -> int:
 def cmd_lib(path: Path, cfg: RunConfig) -> int:
     try:
         library = load_library(path)
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         print(f"{path}: {e}", file=sys.stderr)
         return EXIT_PARSE
     except ParseError as e:

@@ -14,11 +14,17 @@ defensive cap that also covers deliberately forced orientations
 (associativity) which only rearrange.  Running out of fuel with a redex
 left raises :class:`FuelExhausted`, which carries the partial result.
 
-Each rule compiles its left-hand side once, when it is made, into a
-generated matcher over a term's arguments, and plans the rebuild of its
-right-hand side.  ``normalize`` and ``is_normal`` index the rules by the
-head symbol and arity of their left-hand side, so a node tries only the
-rules that can match it, still in declaration order.  ``normalize``,
+``rules_for_theory`` returns a :class:`RuleSet`, which compiles its rules
+once, when it is made, into one generated dispatcher per head symbol of
+their left-hand sides (term indexing by head symbol).  A dispatcher
+unpacks a term's arguments once per arity, tries that head's rules in
+declaration order, each as one generated test, and returns the first rule
+that matches with its substitution.  ``normalize`` runs the dispatcher on
+a node's normalized arguments before it builds the node, and builds it
+(without the frozen ``__init__``) only when no rule fires and an argument
+changed.  Each rule plans the rebuild of its right-hand side when it is
+made; its own matcher (``rule.match``) comes from the same generator,
+compiled on first use.  ``normalize``,
 ``is_normal``, ``eval_term``, ``symbol_count`` and the equality test of a
 repeated pattern variable run on explicit stacks: no term is too deep for
 them.
@@ -27,7 +33,8 @@ them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from operator import is_not
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .ast import Term, Var, spine
 from .theory import Axiom, EqTheory, ShapeError, _check_axiom_term, associativity_op
@@ -59,6 +66,12 @@ class TOp:
 
 
 OpenTerm = TVar | TOp
+
+# ``normalize`` builds the nodes it keeps through the slot descriptors,
+# without the frozen dataclass's ``__init__``
+_new_node = object.__new__
+_set_sym = TOp.sym.__set__  # type: ignore[attr-defined]
+_set_args = TOp.args.__set__  # type: ignore[attr-defined]
 
 Env = Sequence[Any]
 
@@ -124,20 +137,30 @@ def eval_term(t: OpenTerm, model: Model, env: Env) -> Any:
     :class:`ArityError`."""
     interp = model.interp
     arities = model.arities
+    size = len(env)
     todo: list = [t]
     values: list = []
+    pop, push, extend = todo.pop, todo.append, todo.extend
+    value = values.append
     while todo:
-        t = todo.pop()
+        t = pop()
         if type(t) is TVar:
-            if not 0 <= t.index < len(env):
-                raise ArityError(f"variable index {t.index} outside environment of size {len(env)}")
-            values.append(env[t.index])
+            i = t.index
+            if not 0 <= i < size:
+                raise ArityError(f"variable index {i} outside environment of size {size}")
+            value(env[i])
         elif type(t) is tuple:
             # every argument of the node is evaluated: apply its interpretation
             fn, n = t
-            args = values[-n:]
-            del values[-n:]
-            values.append(fn(*args))
+            if n == 2:
+                b = values.pop()
+                values[-1] = fn(values[-1], b)
+            elif n == 1:
+                values[-1] = fn(values[-1])
+            else:
+                args = values[-n:]
+                del values[-n:]
+                value(fn(*args))
         else:
             fn = interp.get(t.sym)
             if fn is None:
@@ -146,10 +169,10 @@ def eval_term(t: OpenTerm, model: Model, env: Env) -> Any:
             if len(args) != arities.get(t.sym, len(args)):
                 raise ArityError(f"{t.sym!r} expects {arities[t.sym]} argument(s), got {len(args)}")
             if args:
-                todo.append((fn, len(args)))
-                todo.extend(args[::-1])
+                push((fn, len(args)))
+                extend(args[::-1])
             else:
-                values.append(fn())
+                value(fn())
     return values[0]
 
 
@@ -160,26 +183,60 @@ Matcher = Callable[[tuple[OpenTerm, ...]], "dict[int, OpenTerm] | None"]
 
 @dataclass(frozen=True)
 class RewriteRule:
-    """``lhs -> rhs``.  ``match`` is the left-hand side compiled when the
-    rule is made: given the arguments of a term whose head symbol and arity
-    are the left-hand side's, it returns the substitution (variable index to
-    subterm) under which the two are equal, or ``None``.  ``plan`` is how
-    ``normalize`` rebuilds the right-hand side (see :func:`_plan_rhs`)."""
+    """``lhs -> rhs``.  ``match`` is the left-hand side compiled on first
+    use: given the arguments of a term whose head symbol is the left-hand
+    side's, it returns the substitution (variable index to subterm) under
+    which the two are equal, or ``None``.  ``plan`` is how ``normalize``
+    rebuilds the right-hand side (see :func:`_plan_rhs`)."""
 
     var_count: int
     lhs: TOp
     rhs: OpenTerm
     source_axiom: str
-    match: Matcher = field(init=False, compare=False, repr=False)
     plan: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "match", _compile_lhs(self.lhs))
         object.__setattr__(self, "plan", _plan_rhs(self.rhs))
+
+    @property
+    def match(self) -> Matcher:
+        match = self.__dict__.get("_match")
+        if match is None:
+            lhs = self.lhs
+            heads = {lhs.sym: {len(lhs.args): [_lhs_source(lhs)]}}
+            match = _compile_heads(heads, {}, f"<lhs of {lhs.sym!r}>")[lhs.sym]
+            object.__setattr__(self, "_match", match)
+        return match
 
     def __reduce__(self) -> tuple:
         # a generated matcher does not pickle: remake the rule from its fields
         return RewriteRule, (self.var_count, self.lhs, self.rhs, self.source_axiom)
+
+
+class RuleSet(tuple):
+    """Rewrite rules in declaration order, as an immutable sequence, with
+    what ``normalize`` and ``is_normal`` run: ``dispatch`` maps each head
+    symbol of a left-hand side to one function, generated and compiled when
+    the set is made, which takes the arguments of a term with that head and
+    returns the first rule whose left-hand side the term is an instance of,
+    with the substitution, or ``None``."""
+
+    dispatch: dict[str, Callable[[tuple[OpenTerm, ...]], "tuple[RewriteRule, dict[int, OpenTerm]] | None"]]
+
+    def __new__(cls, rules: Iterable[RewriteRule]) -> RuleSet:
+        self = super().__new__(cls, rules)
+        object.__setattr__(self, "dispatch", _dispatchers(self))
+        return self
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError("a RuleSet is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("a RuleSet is immutable")
+
+    def __reduce__(self) -> tuple:
+        # generated dispatchers do not pickle: remake the set from its rules
+        return RuleSet, (tuple(self),)
 
 
 def _orientable(lhs: OpenTerm, rhs: OpenTerm) -> bool:
@@ -223,7 +280,7 @@ def assoc_rule(ax: Axiom, arities: Mapping[str, int]) -> RewriteRule | None:
     return RewriteRule(3, TOp(op, (TOp(op, (x, y)), z)), TOp(op, (x, TOp(op, (y, z)))), ax.name)
 
 
-def rules_for_theory(t: EqTheory, force_orient_assoc: bool = False) -> list[RewriteRule]:
+def rules_for_theory(t: EqTheory, force_orient_assoc: bool = False) -> RuleSet:
     """Orient every axiom that admits it, in declaration order.  With
     ``force_orient_assoc`` associativity axioms (normally unorientable) are
     added with their canonical orientation."""
@@ -235,7 +292,7 @@ def rules_for_theory(t: EqTheory, force_orient_assoc: bool = False) -> list[Rewr
             rule = assoc_rule(ax, arities)
         if rule is not None:
             rules.append(rule)
-    return rules
+    return RuleSet(rules)
 
 
 # -- compiled rules -----------------------------------------------------------------
@@ -244,43 +301,78 @@ def rules_for_theory(t: EqTheory, force_orient_assoc: bool = False) -> list[Rewr
 _DONE, _BUILD, _VALUE = 0, 1, 2
 
 
-def _compile_lhs(lhs: TOp) -> Matcher:
-    """Generate the matcher of a left-hand side.  The function unpacks the
-    argument tuple into one local per pattern position, named after its
-    path; symbols appear in its source only as ``repr`` literals.  It makes
-    the structural tests first, in pattern order, then the equality tests
-    of repeated variables."""
-    lines: list[str] = []
+def _lhs_source(lhs: TOp) -> tuple[str, str]:
+    """The test under which a term with the head symbol and arity of a
+    left-hand side is an instance of it (``""`` when every term is), and
+    the substitution it then gives, as source over the term's arguments
+    unpacked into ``a_0``, ``a_1``, ….  A tested position is bound to a
+    local named after its path (``a_0_1`` is the second argument of the
+    first), and its argument tuple to that name plus ``s``; symbols appear
+    only as ``repr`` literals.  The structural tests come first, in pattern
+    order, then the equality tests of repeated variables."""
+    tests: list[str] = []
     equal: list[str] = []
     bound: dict[int, str] = {}
-    todo: list[tuple[OpenTerm, str]] = []
-
-    def unpack(args: tuple[OpenTerm, ...], source: str, path: str) -> None:
-        names = [f"{path}_{i}" for i in range(len(args))]
-        if names:
-            lines.append(f"{', '.join(names)}, = {source}")
-        todo.extend(zip(args[::-1], names[::-1]))
-
-    unpack(lhs.args, "args", "a")
+    todo = [(p, f"a_{i}", f"a_{i}") for i, p in enumerate(lhs.args)][::-1]
     while todo:
-        p, name = todo.pop()
+        p, path, source = todo.pop()
         if type(p) is TVar:
             if p.index in bound:
                 other = bound[p.index]
-                equal.append(f"if {name} is not {other} and not same({name}, {other}): return None")
+                equal.append(f"({source} is {other} or same({source}, {other}))")
             else:
-                bound[p.index] = name
+                bound[p.index] = source
+            continue
+        tests.append(f"type({path}) is TOp" if source == path else f"type({path} := {source}) is TOp")
+        tests.append(f"{path}.sym == {p.sym!r}")
+        if p.args:
+            tests.append(f"len({path}s := {path}.args) == {len(p.args)}")
+            todo.extend((q, f"{path}_{i}", f"{path}s[{i}]") for i, q in reversed(list(enumerate(p.args))))
         else:
-            lines.append(
-                f"if type({name}) is not TOp or {name}.sym != {p.sym!r} "
-                f"or len({name}.args) != {len(p.args)}: return None"
-            )
-            unpack(p.args, f"{name}.args", name)
-    subst = ", ".join(f"{i}: {name}" for i, name in bound.items())
-    body = "".join(f"    {line}\n" for line in [*lines, *equal, f"return {{{subst}}}"])
-    namespace = {"TOp": TOp, "same": _same}
-    exec(compile(f"def match(args):\n{body}", f"<lhs of {lhs.sym!r}>", "exec"), namespace)
-    return namespace["match"]
+            tests.append(f"not {path}.args")
+    subst = ", ".join(f"{i}: {source}" for i, source in bound.items())
+    return " and ".join(tests + equal), f"{{{subst}}}"
+
+
+def _compile_heads(
+    heads: Mapping[str, Mapping[int, list[tuple[str, str]]]], namespace: dict[str, Any], filename: str
+) -> dict[str, Callable]:
+    """Generate and compile, in one ``compile`` call, one function per head
+    symbol: it takes the arguments of a term with that head, unpacks them
+    once per arity and returns the result of the first of that arity's
+    branches (a test from :func:`_lhs_source` and the source of its result)
+    whose test holds, or ``None``.  ``namespace`` gives the names the
+    results use."""
+    lines: list[str] = []
+    for k, by_arity in enumerate(heads.values()):
+        lines.append(f"def d{k}(args):")
+        for n, branches in by_arity.items():
+            lines.append(f"    if len(args) == {n}:")
+            if n:
+                lines.append(f"        {', '.join(f'a_{i}' for i in range(n))}, = args")
+            for test, result in branches:
+                if not test:
+                    # every later branch of this arity is shadowed
+                    lines.append(f"        return {result}")
+                    break
+                lines.append(f"        if {test}: return {result}")
+    namespace = {**namespace, "TOp": TOp, "same": _same}
+    exec(compile("\n".join(lines), filename, "exec"), namespace)
+    return {sym: namespace[f"d{k}"] for k, sym in enumerate(heads)}
+
+
+def _dispatchers(rules: Sequence[RewriteRule]) -> dict[str, Callable]:
+    """The dispatch table of a :class:`RuleSet`: each head symbol's rules,
+    in declaration order, compiled into one function that returns the first
+    matching rule and its substitution."""
+    heads: dict[str, dict[int, list[tuple[str, str]]]] = {}
+    for i, rule in enumerate(rules):
+        lhs = rule.lhs
+        test, subst = _lhs_source(lhs)
+        heads.setdefault(lhs.sym, {}).setdefault(len(lhs.args), []).append((test, f"r{i}, {subst}"))
+    if not heads:
+        return {}
+    return _compile_heads(heads, {f"r{i}": rule for i, rule in enumerate(rules)}, "<rules>")
 
 
 def _same(a: OpenTerm, b: OpenTerm) -> bool:
@@ -326,16 +418,6 @@ def _plan_rhs(rhs: OpenTerm) -> tuple[tuple[int, ...], tuple, bool]:
     return tuple(post[:lead]), tuple(rest[::-1]), any(type(x) is int for x in rest)
 
 
-def _index(rules: Sequence[RewriteRule]) -> dict[tuple[str, int], list[tuple[Matcher, tuple]]]:
-    """Each rule's matcher and plan under the head symbol and arity of its
-    left-hand side, in declaration order."""
-    index: dict[tuple[str, int], list[tuple[Matcher, tuple]]] = {}
-    for rule in rules:
-        lhs = rule.lhs
-        index.setdefault((lhs.sym, len(lhs.args)), []).append((rule.match, rule.plan))
-    return index
-
-
 # -- normalization ------------------------------------------------------------------
 
 def normalize(t: OpenTerm, rules: Sequence[RewriteRule], fuel: int) -> OpenTerm:
@@ -343,69 +425,79 @@ def normalize(t: OpenTerm, rules: Sequence[RewriteRule], fuel: int) -> OpenTerm:
     rewrite steps.  A rewrite rebuilds only the rule's right-hand side
     around the (already normal) substituted subterms.  Raises
     :class:`FuelExhausted` with the partially simplified term when the fuel
-    runs out before a normal form is reached."""
+    runs out before a normal form is reached.  ``rules`` that are not a
+    :class:`RuleSet` are made into one for the call."""
     if fuel < 1:
         raise ValueError("fuel must be at least 1")
-    index = _index(rules)
+    if type(rules) is not RuleSet:
+        rules = RuleSet(rules)
+    find = rules.dispatch.get
     # ``todo`` holds input subterms still to normalize and markers; ``done``
     # holds finished results, the arguments of the pending nodes
     todo: list = [t]
     done: list[OpenTerm] = []
+    pop, push, extend = todo.pop, todo.append, todo.extend
+    result = done.append
     while todo:
-        job = todo.pop()
+        job = pop()
         if type(job) is TOp:
-            if job.args:
-                todo.append((_DONE, job))
-                todo.extend(job.args[::-1])
+            args = job.args
+            if args:
+                push((_DONE, job))
+                extend(args[::-1])
                 continue
             t = job
+            sym = job.sym
         elif type(job) is TVar:
-            done.append(job)
+            result(job)
             continue
         elif job[0] == _DONE:
-            # a subterm that no rule touched comes back as the same object
+            # a subterm that no rule touched comes back as the same object;
+            # ``t`` is None while the node is still to be built
             t = job[1]
+            sym = t.sym
             n = len(t.args)
             args = tuple(done[-n:])
             del done[-n:]
-            for a, b in zip(args, t.args):
-                if a is not b:
-                    t = TOp(t.sym, args)
-                    break
+            if any(map(is_not, args, t.args)):
+                t = None
         elif job[0] == _BUILD:
             _, sym, n = job
             if n:
                 args = tuple(done[-n:])
                 del done[-n:]
-                t = TOp(sym, args)
             else:
-                t = TOp(sym)
+                args = ()
+            t = None
         else:
             # a value of a substitution, after a node of its right-hand side
-            done.append(job[1])
+            result(job[1])
             continue
-        # the arguments of t are normal unless the fuel is gone: try the
-        # rules at t; a rewrite rebuilds the right-hand side in its place
+        # the arguments are normal unless the fuel is gone: try the rules on
+        # them; a rewrite rebuilds the right-hand side in the node's place
         if fuel > 0:
-            for match, (lead, rest, rest_vars) in index.get((t.sym, len(t.args)), ()):
-                subst = match(t.args)
-                if subst is not None:
-                    fuel -= 1
-                    for i in lead:
-                        done.append(subst[i])
-                    if rest_vars:
-                        todo.extend([x if type(x) is tuple else (_VALUE, subst[x]) for x in rest])
-                    else:
-                        todo.extend(rest)
-                    break
-            else:
-                done.append(t)
-        else:
-            done.append(t)
-    (result,) = done
-    if fuel == 0 and not is_normal(result, rules):
-        raise FuelExhausted(result)
-    return result
+            dispatch = find(sym)
+            found = dispatch(args) if dispatch is not None else None
+            if found is not None:
+                fuel -= 1
+                rule, subst = found
+                lead, rest, rest_vars = rule.plan
+                for i in lead:
+                    result(subst[i])
+                if rest_vars:
+                    extend([x if type(x) is tuple else (_VALUE, subst[x]) for x in rest])
+                else:
+                    extend(rest)
+                continue
+        if t is None:
+            t = _new_node(TOp)
+            _set_sym(t, sym)
+            _set_args(t, args)
+        result(t)
+    (t,) = done
+    if fuel == 0 and not is_normal(t, rules):
+        raise FuelExhausted(t)
+    return t
 
 
 def default_fuel(t: OpenTerm) -> int:
@@ -417,14 +509,18 @@ def default_fuel(t: OpenTerm) -> int:
 
 
 def is_normal(t: OpenTerm, rules: Sequence[RewriteRule]) -> bool:
-    index = _index(rules)
+    """Whether no rule applies anywhere in ``t``.  ``rules`` that are not a
+    :class:`RuleSet` are made into one for the call."""
+    if type(rules) is not RuleSet:
+        rules = RuleSet(rules)
+    find = rules.dispatch.get
     todo = [t]
     while todo:
         t = todo.pop()
         if type(t) is not TVar:
-            for match, _ in index.get((t.sym, len(t.args)), ()):
-                if match(t.args) is not None:
-                    return False
+            dispatch = find(t.sym)
+            if dispatch is not None and dispatch(t.args) is not None:
+                return False
             todo.extend(t.args)
     return True
 
@@ -467,6 +563,7 @@ __all__ = [
     "Model",
     "OpenTerm",
     "RewriteRule",
+    "RuleSet",
     "TOp",
     "TVar",
     "assoc_rule",

@@ -78,6 +78,29 @@ def test_missing_input_file_is_reported(workdir, capsys):
     assert "nope" in capsys.readouterr().err
 
 
+NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 8: invalid start byte"
+
+
+@pytest.mark.parametrize("command", ["check", "gen", "lib"])
+def test_input_that_is_not_utf8_gives_one_line(workdir, capsys, command):
+    bad = workdir / ("bad.lib" if command == "lib" else "bad.eqt")
+    bad.write_bytes(b"record M\xff : Set where\n")
+    assert main([command, str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"{bad}: {NOT_UTF8}"]
+
+
+def test_config_file_that_is_not_utf8_gives_one_line(workdir, capsys):
+    copy_fixture("monoid.eqt", workdir)
+    (workdir / "theoryforge.cfg").write_bytes(b"out = ou\xff\n")
+    assert main(["gen", "monoid.eqt"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"{workdir / 'theoryforge.cfg'}: {NOT_UTF8}"]
+    assert not (workdir / "generated").exists()
+
+
 # -- gen -------------------------------------------------------------------------
 
 def test_gen_writes_expected_tree(workdir):

@@ -12,6 +12,7 @@ from theoryforge.engine import (
     FuelExhausted,
     Model,
     RewriteRule,
+    RuleSet,
     TOp,
     TVar,
     default_fuel,
@@ -281,20 +282,21 @@ def _left_comb(leaves):
 def test_forced_association_work_grows_quadratically(monoid):
     # a left comb is the rotation's worst case: the rule-matching work must
     # grow about quadratically in the leaves (4x per doubling), not cubically;
-    # the work is the number of calls to the rules' compiled matchers
+    # the work is the number of calls to the rule set's dispatchers, one per
+    # node where the rules were tried
     rules = rules_for_theory(monoid, force_orient_assoc=True)
     calls = 0
 
-    def counting(match):
+    def counting(dispatch):
         def counted(args):
             nonlocal calls
             calls += 1
-            return match(args)
+            return dispatch(args)
 
         return counted
 
-    for rule in rules:
-        object.__setattr__(rule, "match", counting(rule.match))
+    for sym, dispatch in rules.dispatch.items():
+        rules.dispatch[sym] = counting(dispatch)
     counts = []
     for leaves in (64, 128):
         comb = _left_comb(leaves)
@@ -617,6 +619,107 @@ def test_matchers_embed_symbols_safely():
             if other != sym:
                 assert rule.match((TOp(other), TVar(2))) is None
         assert normalize(TOp("f", (TOp(sym), TOp("c"))), [rule], 1) == TOp("c")
+
+
+def _first_reference_match(rules, t):
+    """The first rule, in declaration order, whose left-hand side ``t`` is
+    an instance of, with its substitution; ``None`` if there is none."""
+    for rule in rules:
+        subst = {}
+        if _reference_match(rule.lhs, t, subst):
+            return rule, subst
+    return None
+
+
+def _check_dispatchers(rules, arities, rng, per_rule):
+    """Run each head's dispatcher on terms with the head of each rule of
+    ``rules``, random or near instances of its left-hand side, and on random
+    terms, against the first reference match; counts the matches."""
+    matched = unmatched = 0
+    for rule in rules:
+        lhs = rule.lhs
+        for k in range(per_rule):
+            if k % 4 == 0:
+                t = TOp(lhs.sym, tuple(_random_term(arities, rng, 3) for _ in lhs.args))
+            else:
+                t = _near_instance(lhs, arities, rng, {})
+            for term in (t, _random_term(arities, rng, 3)):
+                if isinstance(term, TVar):
+                    continue
+                expected = _first_reference_match(rules, term)
+                dispatch = rules.dispatch.get(term.sym)
+                found = None if dispatch is None else dispatch(term.args)
+                if expected is None:
+                    assert found is None, (rule.source_axiom, term)
+                else:
+                    assert found is not None and found[0] is expected[0], (rule.source_axiom, term)
+                    assert found[1] == expected[1], (rule.source_axiom, term)
+                matched += expected is not None
+                unmatched += expected is None
+    return matched, unmatched
+
+
+def test_dispatchers_return_the_first_rule_that_matches(library):
+    theories = list(library.theories())
+    assert len(theories) == 62
+    rng = random.Random(31)
+    matched = unmatched = 0
+    for theory in theories:
+        for forced in (False, True):
+            rules = rules_for_theory(theory, force_orient_assoc=forced)
+            assert type(rules) is RuleSet
+            m, u = _check_dispatchers(rules, theory.arities, rng, 60)
+            matched, unmatched = matched + m, unmatched + u
+    assert matched > 1000 and unmatched > 1000, (matched, unmatched)
+
+
+def test_dispatchers_embed_symbols_safely():
+    # odd symbols, as constants under a head and as heads: each matches only
+    # itself, and a repeated variable still needs equal subterms
+    odd = ["it's", 'say "x"', "back\\slash", "two\nlines", "a'); import os; ('"]
+    arities = {"f": 2, **{sym: 0 for sym in odd}, "g'\n\\": 2}
+    rules = RuleSet(
+        [RewriteRule(1, TOp("f", (TOp(sym), TVar(0))), TVar(0), sym) for sym in odd]
+        + [RewriteRule(1, TOp("g'\n\\", (TOp("f", (TVar(0), TOp(sym))), TVar(0))), TVar(0), sym) for sym in odd]
+    )
+    matched, unmatched = _check_dispatchers(rules, arities, random.Random(37), 40)
+    assert matched > 100 and unmatched > 100, (matched, unmatched)
+
+
+def test_rule_sets_pickle_and_stay_immutable(monoid):
+    rules = rules_for_theory(monoid, force_orient_assoc=True)
+    back = pickle.loads(pickle.dumps(rules))
+    assert type(back) is RuleSet and back == rules and back.dispatch.keys() == rules.dispatch.keys()
+    assert back.dispatch is not rules.dispatch
+    comb = _left_comb(40)
+    assert normalize(comb, back, default_fuel(comb)) == normalize(comb, rules, default_fuel(comb))
+    with pytest.raises(AttributeError):
+        rules.dispatch = {}
+    with pytest.raises(AttributeError):
+        del rules.dispatch
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["plain", "forced-assoc"])
+@pytest.mark.parametrize("name", ["Monoid", "Group", "Ring", "Lattice"])
+def test_a_list_of_rules_normalizes_like_its_rule_set(library, name, forced):
+    theory = library.expanded[name]
+    rules = rules_for_theory(theory, force_orient_assoc=forced)
+    listed = list(rules)
+    rng = random.Random(41)
+    exhausted = 0
+    for _ in range(150):
+        t = _random_term(theory.arities, rng, 7)
+        fuel = rng.choice([rng.randint(1, 4), default_fuel(t)])
+        outcomes = []
+        for given_rules in (rules, listed):
+            try:
+                outcomes.append(("normal", normalize(t, given_rules, fuel)))
+            except FuelExhausted as e:
+                outcomes.append(("partial", e.partial))
+            outcomes.append(is_normal(t, given_rules))
+        assert outcomes[:2] == outcomes[2:], t
+        exhausted += outcomes[0][0] == "partial"
+    assert exhausted > 0
 
 
 # -- enumeration ---------------------------------------------------------------------
