@@ -15,7 +15,7 @@ works if every member name is globally unambiguous.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 from .ast import (
     Arrow,
@@ -45,8 +45,7 @@ SORT_MISMATCH = "SortMismatch"
 DUPLICATE_FIELD = "DuplicateField"
 
 
-@dataclass(frozen=True)
-class CheckError:
+class CheckError(NamedTuple):
     kind: str
     message: str
     pos: Pos | None = None
@@ -60,10 +59,10 @@ def format_errors(errors: list[CheckError], filename: str) -> str:
     return "\n".join(e.format(filename) for e in errors)
 
 
-@dataclass
 class _RecordInfo:
-    params: list[tuple[str, TypeExpr]]
-    fields: dict[str, TypeExpr]
+    def __init__(self, params: list[tuple[str, TypeExpr]], fields: dict[str, TypeExpr]):
+        self.params = params
+        self.fields = fields
 
     @property
     def sort_index(self) -> int | None:
@@ -72,15 +71,15 @@ class _RecordInfo:
         return hits[0] if len(hits) == 1 else None
 
 
-@dataclass
 class CheckContext:
     """Module-level naming context, threaded across declarations."""
 
-    type_arity: dict[str, int] = dc_field(default_factory=dict)
-    records: dict[str, _RecordInfo] = dc_field(default_factory=dict)
-    field_owner: dict[str, str] = dc_field(default_factory=dict)
-    data_ctors: dict[str, tuple[str, TypeExpr]] = dc_field(default_factory=dict)
-    used_member_names: set[str] = dc_field(default_factory=set)
+    def __init__(self) -> None:
+        self.type_arity: dict[str, int] = {}
+        self.records: dict[str, _RecordInfo] = {}
+        self.field_owner: dict[str, str] = {}
+        self.data_ctors: dict[str, tuple[str, TypeExpr]] = {}
+        self.used_member_names: set[str] = set()
 
     def register(self, d: Decl) -> None:
         """Record the declaration's names for use by later declarations.

@@ -40,7 +40,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field as dc_field
 from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple
@@ -78,13 +77,20 @@ EXIT_CHECK = 2
 EXIT_GEN = 3
 
 
-@dataclass
 class RunConfig:
-    kinds: tuple[GenKind, ...] = DEFAULT_KINDS
-    suffixes: dict[GenKind, str] = dc_field(default_factory=lambda: dict(DEFAULT_SUFFIXES))
-    out_dir: Path = Path("generated")
-    jobs: int = 1
-    force_orient_assoc: bool = False
+    def __init__(
+        self,
+        kinds: tuple[GenKind, ...] = DEFAULT_KINDS,
+        suffixes: dict[GenKind, str] | None = None,
+        out_dir: Path = Path("generated"),
+        jobs: int = 1,
+        force_orient_assoc: bool = False,
+    ):
+        self.kinds = kinds
+        self.suffixes = dict(DEFAULT_SUFFIXES) if suffixes is None else suffixes
+        self.out_dir = out_dir
+        self.jobs = jobs
+        self.force_orient_assoc = force_orient_assoc
 
     def validate(self) -> None:
         values = list(self.suffixes.values())
@@ -170,8 +176,7 @@ def build_config(args: argparse.Namespace, cwd: Path | None = None) -> RunConfig
 
 # -- generation pipeline -------------------------------------------------------
 
-@dataclass
-class TheoryOutput:
+class TheoryOutput(NamedTuple):
     name: str
     files: dict[str, str]
     module_text: str

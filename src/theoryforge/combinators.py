@@ -17,10 +17,9 @@ merge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from importlib import resources
 from pathlib import Path
-from typing import Union
+from typing import NamedTuple, Union
 
 from . import lexer
 from .ast import Binder, Constr, RecordDecl, SetKind
@@ -47,28 +46,24 @@ class LibraryError(Exception):
         self.cause = cause
 
 
-@dataclass
-class Base:
+class Base(NamedTuple):
     name: str
     decl: RecordDecl
 
 
-@dataclass
-class Extend:
+class Extend(NamedTuple):
     name: str
     parent: str
     new_decls: list[Constr]
 
 
-@dataclass
-class Rename:
+class Rename(NamedTuple):
     name: str
     parent: str
     mapping: dict[str, str]
 
 
-@dataclass
-class Combine:
+class Combine(NamedTuple):
     name: str
     left: str
     right: str
@@ -78,10 +73,10 @@ class Combine:
 TheoryExpr = Union[Base, Extend, Rename, Combine]
 
 
-@dataclass
 class Library:
-    entries: list[TheoryExpr] = dc_field(default_factory=list)
-    expanded: dict[str, EqTheory] = dc_field(default_factory=dict)
+    def __init__(self) -> None:
+        self.entries: list[TheoryExpr] = []
+        self.expanded: dict[str, EqTheory] = {}
 
     def theories(self) -> list[EqTheory]:
         return [self.expanded[e.name] for e in self.entries]

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Container, Iterable
-from dataclasses import replace
 from functools import cached_property
 
 from .ast import (
@@ -149,7 +148,7 @@ def gen_signature(t: EqTheory, suffix: str = "S", names: NameSupply | None = Non
     result can share a module with its source."""
     names = _supply(t, names)
     name = names.fresh(t.name + "Sig")
-    bare = replace(t, axioms=[])
+    bare = EqTheory(t.name, t.sort, t.func_types, [], t.waist)
     return rename_with(bare, _renaming(bare, suffix, names), new_name=name)
 
 

@@ -38,10 +38,6 @@ class ParseError(Exception):
         self.expected = expected
 
 
-# the lexer's errors are the parsers' errors; the old name stays an alias
-LexError = ParseError
-
-
 # Token kinds
 NAME = "NAME"
 KEYWORD = "KEYWORD"
@@ -156,7 +152,6 @@ __all__ = [
     "KEYWORD",
     "LBRACE",
     "LPAREN",
-    "LexError",
     "NAME",
     "ParseError",
     "RBRACE",

@@ -16,7 +16,7 @@ telescope order.
 from __future__ import annotations
 
 from collections.abc import Container, Mapping
-from dataclasses import dataclass, field
+from typing import Any, NamedTuple, Sequence
 
 from .ast import (
     Arrow,
@@ -28,6 +28,7 @@ from .ast import (
     RecordDecl,
     SetKind,
     SortRef,
+    Structure,
     Sym,
     Term,
     TypeExpr,
@@ -47,13 +48,18 @@ class CollisionError(Exception):
     """A renaming would produce duplicate or captured names."""
 
 
-@dataclass
-class Axiom:
-    name: str
-    binders: list[Binder]
-    lhs: Term
-    rhs: Term
-    pos: Pos | None = field(default=None, compare=False)
+class Axiom(Structure):
+    __slots__ = ("name", "binders", "lhs", "rhs", "pos")
+
+    def __init__(self, name: str, binders: list[Binder], lhs: Term, rhs: Term, pos: Pos | None = None):
+        self.name = name
+        self.binders = binders
+        self.lhs = lhs
+        self.rhs = rhs
+        self.pos = pos
+
+    def _split(self) -> tuple[Any, Sequence[Any]]:
+        return (self.name, len(self.binders)), (*self.binders, self.lhs, self.rhs)
 
     @property
     def vars(self) -> list[tuple[str, TypeExpr]]:
@@ -70,13 +76,19 @@ class Axiom:
         return Constr(self.name, ty, pos=self.pos)
 
 
-@dataclass
-class EqTheory:
-    name: str
-    sort: Constr
-    func_types: list[Constr]
-    axioms: list[Axiom]
-    waist: int
+class EqTheory(Structure):
+    __slots__ = ("name", "sort", "func_types", "axioms", "waist")
+
+    def __init__(self, name: str, sort: Constr, func_types: list[Constr], axioms: list[Axiom], waist: int):
+        self.name = name
+        self.sort = sort
+        self.func_types = func_types
+        self.axioms = axioms
+        self.waist = waist
+
+    def _split(self) -> tuple[Any, Sequence[Any]]:
+        values = (self.name, self.waist, len(self.func_types), len(self.axioms))
+        return values, (self.sort, *self.func_types, *self.axioms)
 
     @property
     def arities(self) -> dict[str, int]:
@@ -266,8 +278,7 @@ def mentioned_constants(ax: Axiom, t: EqTheory) -> list[str]:
     return [c for c in t.constants() if map_names(eq, syms={c: c + "'"}) != eq]
 
 
-@dataclass(frozen=True)
-class RenameScheme:
+class RenameScheme(NamedTuple):
     """Systematic renaming: every sort and function symbol gets ``suffix``
     appended; axiom names follow the library convention — an associativity
     axiom becomes ``associative_<renamed op>``, an axiom mentioning a

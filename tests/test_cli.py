@@ -565,6 +565,22 @@ def test_cli_import_leaves_the_engine_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # together about a third of the import's time, paid by every CLI run
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, theoryforge.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))",
+        ],
+        capture_output=True,
+        text=True,
+        cwd=Path(theoryforge.__file__).parents[1],
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_engine_names_are_served_by_the_package():
     from theoryforge import TOp, normalize
     from theoryforge import engine

@@ -1,9 +1,8 @@
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 
+from theoryforge.ast import RecordDecl
 from theoryforge.combinators import (
     Combine,
     Extend,
@@ -238,7 +237,7 @@ def test_extend_reads_its_block_like_record_fields_after_the_parent(library):
         if not isinstance(entry, Extend):
             continue
         parent = embed(library.expanded[entry.parent])
-        record = replace(parent, name=entry.name, fields=parent.fields + entry.new_decls)
+        record = RecordDecl(entry.name, parent.params, parent.constructor_name, parent.fields + entry.new_decls)
         assert extract(record) == library.expanded[entry.name], entry.name
         checked += 1
     assert checked > 0

@@ -8,7 +8,7 @@ from conftest import DATA
 from theoryforge import lexer, parser
 from theoryforge.ast import RESERVED_WORDS
 from theoryforge.combinators import standard_library_path
-from theoryforge.lexer import LexError, Token, tokenize
+from theoryforge.lexer import ParseError, Token, tokenize
 
 
 # -- reference: the character-at-a-time tokenizer the master regex replaced ------
@@ -29,7 +29,7 @@ def _ref_name_char(c: str) -> bool:
 
 
 def _reference_tokenize(source: str) -> list[tuple[str, str, int, int]]:
-    """``(kind, value, line, col)`` per token, or :class:`LexError`."""
+    """``(kind, value, line, col)`` per token, or :class:`ParseError`."""
     tokens: list[tuple[str, str, int, int]] = []
     i = 0
     line = 1
@@ -59,7 +59,7 @@ def _reference_tokenize(source: str) -> list[tuple[str, str, int, int]]:
                 i += 2
                 col += 2
                 continue
-            raise LexError("unexpected '-'", line, col)
+            raise ParseError("unexpected '-'", line, col)
 
         if c == "=":
             if i + 1 < n and source[i + 1] == "=":
@@ -98,7 +98,7 @@ def _reference_tokenize(source: str) -> list[tuple[str, str, int, int]]:
             tokens.append((kind, text, line, start_col))
             continue
 
-        raise LexError(f"unexpected character {c!r}", line, col)
+        raise ParseError(f"unexpected character {c!r}", line, col)
 
     tokens.append((lexer.EOF, "", line, col))
     return tokens
@@ -111,8 +111,8 @@ def _tokens(source: str) -> list[tuple[str, str, int, int]]:
 def _outcome(tokenizer, source: str):
     try:
         return tokenizer(source)
-    except LexError as e:
-        return ("LexError", e.message, e.line, e.col)
+    except ParseError as e:
+        return ("ParseError", e.message, e.line, e.col)
 
 
 def assert_same_as_reference(source: str) -> None:

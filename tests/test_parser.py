@@ -294,8 +294,10 @@ def test_long_arrow_chains_are_not_nesting():
     d = parse_decl(_HEADER + f"    f : {chain}\n")
     assert len(arrow_components(d.fields[0].ty)) == 901
     assert check_module([d]) == []
-    # compared as text: == on a 900-deep tree would itself recurse too deep
-    assert print_decl(parse_decl(print_decl(d))) == print_decl(d)
+    text = print_decl(d)
+    assert print_decl(parse_decl(text)) == text
+    # == walks the tree on an explicit stack, so depth does not matter
+    assert parse_decl(text) == d
 
 
 def _nested_arrows(depth: int) -> str:
@@ -308,8 +310,9 @@ def test_arrows_nested_in_parens_up_to_the_limit_parse_check_and_reprint():
     assert len(arrow_components(d.fields[0].ty)) == 201
     assert check_module([d]) == []
     text = print_decl(d)
-    # compared as text: == on a 200-deep tree recurses once per level
     assert print_decl(parse_decl(text)) == text
+    assert parse_decl(text) == d
+    assert parse_decl(_nested_arrows(199)) != d
 
 
 def test_arrows_nested_in_parens_past_the_limit_are_a_parse_error():
