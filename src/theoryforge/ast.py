@@ -12,7 +12,8 @@ differently laid-out text compare equal when they have the same structure.
 Nodes and declarations are plain slotted classes built through their
 constructors (``dataclasses.replace`` does not apply to them).  They share
 one base, :class:`Structure`, whose ``==`` compares every field except
-``pos`` on an explicit stack, so comparing trees of any depth never raises
+``pos``: one loop over an explicit stack, driven by each class's
+``_split``, so comparing trees of any depth never raises
 ``RecursionError``.  They are mutable and unhashable, and their ``repr``
 lists every field, ``pos`` included.
 """
@@ -20,7 +21,7 @@ lists every field, ``pos`` included.
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Any, Callable, Mapping, Sequence, TypeAlias, TypeVar, Union
+from typing import Any, Mapping, Sequence, TypeAlias, TypeVar, Union
 
 Pos: TypeAlias = "tuple[int, int]"
 
@@ -45,89 +46,35 @@ class Structure:
     """Base of the syntax-tree, declaration and theory classes.
 
     ``==`` holds between two instances of one class whose fields other than
-    ``pos`` are equal; another class gives ``NotImplemented``.  The two
-    structures are walked side by side on explicit stacks.  The node
-    classes that are compared most are handled inline: named leaves by
-    name, ``App`` and ``Arrow`` chains in a loop, ``Equation`` and
-    ``TyApp`` field by field.  Any other composite class says what it
-    compares through ``_split``; a leaf without one (``SetKind``) compares
-    itself with its own ``__eq__``.  ``repr`` lists the ``__slots__`` in
-    order, which is the constructor's order.
+    ``pos`` are equal; another class gives ``NotImplemented``.  Each class
+    says what it compares through ``_split``: the fields compared with
+    plain ``==`` (with the length of every list of children), and the
+    children.  The two structures are walked side by side on an explicit
+    stack of pairs.  ``repr`` lists the ``__slots__`` in order, which is
+    the constructor's order.
     """
 
     __slots__ = ()
-    _split: Callable[[Any], tuple[Any, Sequence[Any]]] | None = None
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        a: Any = self
-        b: Any = other
-        left: list[Any] = []  # pending pairs: left[i] against right[i]
-        right: list[Any] = []
-        while True:
-            cls = a.__class__
-            if a is b:
-                pass
-            elif cls is not b.__class__:
-                if not a == b:  # False for nodes: another class gives NotImplemented
-                    return False
-            elif cls in _NAMED:
-                if a.name != b.name:
-                    return False
-            elif cls is App:
-                x = a.arg
-                y = b.arg
-                if x.__class__ in _NAMED and x.__class__ is y.__class__:
-                    if x.name != y.name:
-                        return False
-                else:
-                    left.append(x)
-                    right.append(y)
-                a = a.fn
-                b = b.fn
-                continue
-            elif cls is Arrow:
-                x = a.dom
-                y = b.dom
-                if x.__class__ in _NAMED and x.__class__ is y.__class__:
-                    if x.name != y.name:
-                        return False
-                else:
-                    left.append(x)
-                    right.append(y)
-                a = a.cod
-                b = b.cod
-                continue
-            elif cls is Equation:
-                left.append(a.rhs)
-                right.append(b.rhs)
-                a = a.lhs
-                b = b.lhs
-                continue
-            elif cls is TyApp:
-                if a.head != b.head or len(a.args) != len(b.args):
-                    return False
-                left += a.args
-                right += b.args
-            else:
-                split = getattr(cls, "_split", None)
-                if split is None:
-                    if not a == b:
-                        return False
-                else:
-                    # the fields compared with plain ``==`` (with the length
-                    # of every list of children), and the children
-                    values, kids = split(a)
-                    other_values, other_kids = split(b)
-                    if values != other_values:
-                        return False
-                    left += kids
-                    right += other_kids
-            if not left:
-                return True
+        left: list[Any] = [self]  # pending pairs: left[i] against right[i]
+        right: list[Any] = [other]
+        while left:
             a = left.pop()
             b = right.pop()
+            if a is b:
+                continue
+            if a.__class__ is not b.__class__:
+                return False
+            values, kids = a._split()
+            other_values, other_kids = b._split()
+            if values != other_values:
+                return False
+            left += kids
+            right += other_kids
+        return True
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
@@ -143,10 +90,8 @@ class _Named(Structure):
         self.name = name
         self.pos = pos
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.name == other.name  # type: ignore[attr-defined]
+    def _split(self) -> tuple[Any, Sequence[Any]]:
+        return self.name, ()
 
 
 # -- terms -------------------------------------------------------------------
@@ -170,6 +115,9 @@ class App(Structure):
         self.fn = fn
         self.arg = arg
         self.pos = pos
+
+    def _split(self) -> tuple[Any, Sequence[Any]]:
+        return None, (self.fn, self.arg)
 
 
 Term: TypeAlias = Union[Var, Sym, App]
@@ -202,8 +150,8 @@ class SetKind(Structure):
     def __init__(self, pos: Pos | None = None):
         self.pos = pos
 
-    def __eq__(self, other: object) -> bool:
-        return True if other.__class__ is self.__class__ else NotImplemented
+    def _split(self) -> tuple[Any, Sequence[Any]]:
+        return None, ()
 
 
 class SortRef(_Named):
@@ -218,26 +166,8 @@ class TyApp(Structure):
         self.args = args
         self.pos = pos
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        xs = self.args
-        ys = other.args  # type: ignore[attr-defined]
-        if self.head != other.head or len(xs) != len(ys):  # type: ignore[attr-defined]
-            return False
-        # the common case, a head applied to named types, without the set-up
-        # of the walk; any other argument goes through the walk
-        i = 0
-        for x in xs:
-            y = ys[i]
-            i += 1
-            cls = x.__class__
-            if cls in _NAMED and cls is y.__class__:
-                if x.name != y.name:
-                    return False
-            elif cls is not y.__class__ or not Structure.__eq__(x, y):
-                return False
-        return True
+    def _split(self) -> tuple[Any, Sequence[Any]]:
+        return (self.head, len(self.args)), self.args
 
 
 class Arrow(Structure):
@@ -247,6 +177,9 @@ class Arrow(Structure):
         self.dom = dom
         self.cod = cod
         self.pos = pos
+
+    def _split(self) -> tuple[Any, Sequence[Any]]:
+        return None, (self.dom, self.cod)
 
 
 class Binder(Structure):
@@ -284,10 +217,11 @@ class Equation(Structure):
         self.rhs = rhs
         self.pos = pos
 
+    def _split(self) -> tuple[Any, Sequence[Any]]:
+        return None, (self.lhs, self.rhs)
+
 
 TypeExpr: TypeAlias = Union[SetKind, SortRef, TyApp, Arrow, Quant, Equation]
-
-_NAMED = frozenset({Var, Sym, SortRef})
 
 
 def arrow_components(ty: TypeExpr) -> list[TypeExpr]:
@@ -338,10 +272,11 @@ def map_names(
 
 
 def _walk(n: Any, sorts: Mapping[str, TypeExpr], syms: Mapping[str, str], vars: Mapping[str, str]) -> Any:
-    # exact class tests: the node classes are never subclassed
+    # exact class tests: the node classes are never subclassed.  An
+    # application's function spine, and a type's chain of arrow codomains and
+    # quantifier bodies, are walked in a loop: only a nesting that the source
+    # writes in parentheses or binders costs a level of recursion
     cls = type(n)
-    if cls is App:
-        return App(_walk(n.fn, sorts, syms, vars), _walk(n.arg, sorts, syms, vars))
     if cls is Sym:
         name = syms.get(n.name)
         return n if name is None else Sym(name)
@@ -350,15 +285,29 @@ def _walk(n: Any, sorts: Mapping[str, TypeExpr], syms: Mapping[str, str], vars: 
         return n if name is None else Var(name)
     if cls is SortRef:
         return sorts.get(n.name, n)
-    if cls is Arrow:
-        return Arrow(_walk(n.dom, sorts, syms, vars), _walk(n.cod, sorts, syms, vars))
+    if cls is App:
+        head, args = spine(n)
+        t = _walk(head, sorts, syms, vars)
+        for a in args:
+            t = App(t, _walk(a, sorts, syms, vars))
+        return t
+    if cls is Arrow or cls is Quant:
+        links = []
+        while cls is Arrow or cls is Quant:
+            links.append(n)
+            n = n.cod if cls is Arrow else n.body
+            cls = type(n)
+        ty = _walk(n, sorts, syms, vars)
+        for link in reversed(links):
+            if type(link) is Arrow:
+                ty = Arrow(_walk(link.dom, sorts, syms, vars), ty)
+            else:
+                ty = Quant([_walk(b, sorts, syms, vars) for b in link.binders], ty)
+        return ty
     if cls is TyApp:
         return TyApp(syms.get(n.head, n.head), [_walk(a, sorts, syms, vars) for a in n.args])
     if cls is Equation:
         return Equation(_walk(n.lhs, sorts, syms, vars), _walk(n.rhs, sorts, syms, vars))
-    if cls is Quant:
-        binders = [_walk(b, sorts, syms, vars) for b in n.binders]
-        return Quant(binders, _walk(n.body, sorts, syms, vars))
     if cls is Binder:
         return Binder([vars.get(x, x) for x in n.names], _walk(n.ty, sorts, syms, vars), n.hidden)
     if cls is SetKind:

@@ -176,20 +176,6 @@ class _DeclChecker:
         if isinstance(ty, TyApp):
             self._check_ty_app(ty, bound)
             return
-        if isinstance(ty, Arrow):
-            self.check_type(ty.dom, bound)
-            self.check_type(ty.cod, bound)
-            return
-        if isinstance(ty, Quant):
-            inner = dict(bound)
-            for b in ty.binders:
-                self.check_type(b.ty, inner)
-                for n in b.names:
-                    if n in inner or n in self.local_terms or n in self.local_sorts:
-                        self.error(DUPLICATE_FIELD, f"binder {n!r} shadows another name", b.pos)
-                    inner[n] = b.ty
-            self.check_type(ty.body, inner)
-            return
         if isinstance(ty, Equation):
             lhs_sort = self.infer_sort(ty.lhs, bound)
             rhs_sort = self.infer_sort(ty.rhs, bound)
@@ -201,7 +187,24 @@ class _DeclChecker:
                     ty.pos,
                 )
             return
-        raise TypeError(f"not a type expression: {ty!r}")
+        if not isinstance(ty, (Arrow, Quant)):
+            raise TypeError(f"not a type expression: {ty!r}")
+        # a chain of arrow codomains and quantifier bodies is checked in a
+        # loop; its quantifiers bind into a copy of the caller's ``bound``
+        bound = dict(bound)
+        while isinstance(ty, (Arrow, Quant)):
+            if isinstance(ty, Arrow):
+                self.check_type(ty.dom, bound)
+                ty = ty.cod
+            else:
+                for b in ty.binders:
+                    self.check_type(b.ty, bound)
+                    for n in b.names:
+                        if n in bound or n in self.local_terms or n in self.local_sorts:
+                            self.error(DUPLICATE_FIELD, f"binder {n!r} shadows another name", b.pos)
+                        bound[n] = b.ty
+                ty = ty.body
+        self.check_type(ty, bound)
 
     def _check_sort_ref(self, ty: SortRef, bound: dict[str, TypeExpr]) -> None:
         n = ty.name

@@ -23,11 +23,9 @@ that matches with its substitution.  ``normalize`` runs the dispatcher on
 a node's normalized arguments before it builds the node, and builds it
 (without the frozen ``__init__``) only when no rule fires and an argument
 changed.  Each rule plans the rebuild of its right-hand side when it is
-made; its own matcher (``rule.match``) comes from the same generator,
-compiled on first use.  ``normalize``,
-``is_normal``, ``eval_term``, ``symbol_count`` and the equality test of a
-repeated pattern variable run on explicit stacks: no term is too deep for
-them.
+made.  ``normalize``, ``is_normal``, ``eval_term``, ``symbol_count`` and
+the equality test of a repeated pattern variable run on explicit stacks:
+no term is too deep for them.
 """
 
 from __future__ import annotations
@@ -178,16 +176,10 @@ def eval_term(t: OpenTerm, model: Model, env: Env) -> Any:
 
 # -- orientation ----------------------------------------------------------------
 
-Matcher = Callable[[tuple[OpenTerm, ...]], "dict[int, OpenTerm] | None"]
-
-
 @dataclass(frozen=True)
 class RewriteRule:
-    """``lhs -> rhs``.  ``match`` is the left-hand side compiled on first
-    use: given the arguments of a term whose head symbol is the left-hand
-    side's, it returns the substitution (variable index to subterm) under
-    which the two are equal, or ``None``.  ``plan`` is how ``normalize``
-    rebuilds the right-hand side (see :func:`_plan_rhs`)."""
+    """``lhs -> rhs``.  ``plan`` is how ``normalize`` rebuilds the
+    right-hand side (see :func:`_plan_rhs`)."""
 
     var_count: int
     lhs: TOp
@@ -197,20 +189,6 @@ class RewriteRule:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "plan", _plan_rhs(self.rhs))
-
-    @property
-    def match(self) -> Matcher:
-        match = self.__dict__.get("_match")
-        if match is None:
-            lhs = self.lhs
-            heads = {lhs.sym: {len(lhs.args): [_lhs_source(lhs)]}}
-            match = _compile_heads(heads, {}, f"<lhs of {lhs.sym!r}>")[lhs.sym]
-            object.__setattr__(self, "_match", match)
-        return match
-
-    def __reduce__(self) -> tuple:
-        # a generated matcher does not pickle: remake the rule from its fields
-        return RewriteRule, (self.var_count, self.lhs, self.rhs, self.source_axiom)
 
 
 class RuleSet(tuple):
@@ -334,15 +312,20 @@ def _lhs_source(lhs: TOp) -> tuple[str, str]:
     return " and ".join(tests + equal), f"{{{subst}}}"
 
 
-def _compile_heads(
-    heads: Mapping[str, Mapping[int, list[tuple[str, str]]]], namespace: dict[str, Any], filename: str
-) -> dict[str, Callable]:
-    """Generate and compile, in one ``compile`` call, one function per head
-    symbol: it takes the arguments of a term with that head, unpacks them
-    once per arity and returns the result of the first of that arity's
-    branches (a test from :func:`_lhs_source` and the source of its result)
-    whose test holds, or ``None``.  ``namespace`` gives the names the
-    results use."""
+def _dispatchers(rules: Sequence[RewriteRule]) -> dict[str, Callable]:
+    """The dispatch table of a :class:`RuleSet`, generated and compiled in
+    one ``compile`` call: for each head symbol, a function that takes the
+    arguments of a term with that head, unpacks them once per arity and
+    returns the first of that head's rules, in declaration order, whose
+    test from :func:`_lhs_source` holds, with its substitution, or
+    ``None``."""
+    heads: dict[str, dict[int, list[tuple[str, str]]]] = {}
+    for i, rule in enumerate(rules):
+        lhs = rule.lhs
+        test, subst = _lhs_source(lhs)
+        heads.setdefault(lhs.sym, {}).setdefault(len(lhs.args), []).append((test, f"r{i}, {subst}"))
+    if not heads:
+        return {}
     lines: list[str] = []
     for k, by_arity in enumerate(heads.values()):
         lines.append(f"def d{k}(args):")
@@ -356,23 +339,10 @@ def _compile_heads(
                     lines.append(f"        return {result}")
                     break
                 lines.append(f"        if {test}: return {result}")
-    namespace = {**namespace, "TOp": TOp, "same": _same}
-    exec(compile("\n".join(lines), filename, "exec"), namespace)
+    namespace: dict[str, Any] = {f"r{i}": rule for i, rule in enumerate(rules)}
+    namespace.update(TOp=TOp, same=_same)
+    exec(compile("\n".join(lines), "<rules>", "exec"), namespace)
     return {sym: namespace[f"d{k}"] for k, sym in enumerate(heads)}
-
-
-def _dispatchers(rules: Sequence[RewriteRule]) -> dict[str, Callable]:
-    """The dispatch table of a :class:`RuleSet`: each head symbol's rules,
-    in declaration order, compiled into one function that returns the first
-    matching rule and its substitution."""
-    heads: dict[str, dict[int, list[tuple[str, str]]]] = {}
-    for i, rule in enumerate(rules):
-        lhs = rule.lhs
-        test, subst = _lhs_source(lhs)
-        heads.setdefault(lhs.sym, {}).setdefault(len(lhs.args), []).append((test, f"r{i}, {subst}"))
-    if not heads:
-        return {}
-    return _compile_heads(heads, {f"r{i}": rule for i, rule in enumerate(rules)}, "<rules>")
 
 
 def _same(a: OpenTerm, b: OpenTerm) -> bool:

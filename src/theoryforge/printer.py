@@ -61,17 +61,22 @@ def print_type(ty: TypeExpr) -> str:
         return ty.name
     if isinstance(ty, TyApp):
         return " ".join([ty.head] + [_atom(a) for a in ty.args])
-    if isinstance(ty, Arrow):
-        dom = print_type(ty.dom)
-        if isinstance(ty.dom, (Arrow, Quant)):
-            dom = f"({dom})"
-        return f"{dom} → {print_type(ty.cod)}"
-    if isinstance(ty, Quant):
-        binders = " ".join(print_binder(b) for b in ty.binders)
-        return f"{binders} → {print_type(ty.body)}"
     if isinstance(ty, Equation):
         return f"{print_term(ty.lhs)} == {print_term(ty.rhs)}"
-    raise ValueError(f"not a type expression: {ty!r}")
+    if not isinstance(ty, (Arrow, Quant)):
+        raise ValueError(f"not a type expression: {ty!r}")
+    # a chain of arrow codomains and quantifier bodies is printed in a loop
+    parts: list[str] = []
+    while isinstance(ty, (Arrow, Quant)):
+        if isinstance(ty, Arrow):
+            dom = print_type(ty.dom)
+            parts.append(f"({dom})" if isinstance(ty.dom, (Arrow, Quant)) else dom)
+            ty = ty.cod
+        else:
+            parts.append(" ".join(print_binder(b) for b in ty.binders))
+            ty = ty.body
+    parts.append(print_type(ty))
+    return " → ".join(parts)
 
 
 def _print_constr(c: Constr, indent: str) -> str:

@@ -10,7 +10,9 @@ occur.  ``split_entries`` tells function symbols from axioms, for a
 record's entries and for the block of a library's ``extend`` alike.
 Quantifier structure of axioms (grouping and hidden/explicit marks) is
 preserved verbatim so that ``embed(extract(d)) == d`` for records in
-telescope order.
+telescope order whose axioms quantify at most once: a curried chain of
+quantifiers, ``(x : A) → (y : A) → …``, reads as one quantifier over its
+binder groups, and comes back grouped that way.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from collections.abc import Container, Mapping
 from typing import Any, NamedTuple, Sequence
 
 from .ast import (
+    App,
     Arrow,
     Binder,
     Constr,
@@ -126,10 +129,11 @@ def _check_axiom_term(t: Term, vars_: Container[str], arities: Mapping[str, int]
 
 
 def constr_to_axiom(c: Constr, sort: str, arities: dict[str, int]) -> Axiom:
+    # a curried chain of quantifiers reads as one, its binder groups in order
     binders: list[Binder] = []
     body: TypeExpr = c.ty
-    if isinstance(body, Quant):
-        binders = body.binders
+    while isinstance(body, Quant):
+        binders += body.binders
         body = body.body
     if not isinstance(body, Equation):
         raise ShapeError(f"{c.name!r} is neither an operation over the sort nor an equation")
@@ -272,10 +276,16 @@ def associativity_op(ax: Axiom) -> str | None:
 
 
 def mentioned_constants(ax: Axiom, t: EqTheory) -> list[str]:
-    """Nullary symbols of ``t`` the axiom mentions, in declaration order:
-    those whose renaming changes the equation."""
-    eq = Equation(ax.lhs, ax.rhs)
-    return [c for c in t.constants() if map_names(eq, syms={c: c + "'"}) != eq]
+    """Nullary symbols of ``t`` the axiom mentions, in declaration order."""
+    mentioned: set[str] = set()
+    todo: list[Term] = [ax.lhs, ax.rhs]
+    while todo:
+        n = todo.pop()
+        if isinstance(n, App):
+            todo += (n.fn, n.arg)
+        elif isinstance(n, Sym):
+            mentioned.add(n.name)
+    return [c for c in t.constants() if c in mentioned]
 
 
 class RenameScheme(NamedTuple):

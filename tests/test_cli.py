@@ -72,6 +72,48 @@ def test_deep_nesting_is_a_parse_error_not_a_crash(workdir, capsys):
     assert captured.err.splitlines() == [f"{deep}:3:209: ParseError: nesting deeper than 200 levels"]
 
 
+LONG = 1000
+assert LONG >= sys.getrecursionlimit()
+ALL_KINDS = "sig,prod,termlang,open-termlang,hom,mono,endo"
+
+# entries whose types are chains longer than the recursion limit, and a
+# curried quantifier chain; a chain's links are not nesting, so none of
+# them counts toward the parser's 200-level limit
+CHAINS = {
+    "arrows": "    f : " + " → ".join(["A"] * (LONG + 1)) + "\n",
+    "quantifiers": "    op : A → A → A\n    ax : "
+    + " → ".join(f"(x{i} : A)" for i in range(LONG))
+    + " → op x0 x1 == op x1 x0\n",
+    "curried": "    op : A → A → A\n    comm : (x : A) → (y : A) → op x y == op y x\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHAINS))
+def test_long_and_curried_chains_check_and_generate(workdir, capsys, name):
+    source = workdir / "chain.eqt"
+    source.write_text("record M (A : Set) : Set where\n  field\n" + CHAINS[name], encoding="utf-8")
+    assert main(["check", str(source)]) == 0
+    assert main(["gen", str(source), "--constructions", ALL_KINDS, "--out", "out"]) == 0
+    module = workdir / "out" / "M" / "module.gen.eqt"
+    assert main(["check", str(module)]) == 0
+    # the source, the Prod helper and the seven constructions
+    assert len(parse_file(module.read_text(encoding="utf-8"))) == 9
+    captured = capsys.readouterr()
+    assert captured.out == captured.err == ""
+
+
+def test_long_and_curried_chains_in_a_library(workdir, capsys):
+    lines = ["theory Carrier = base { A : Set }"]
+    for i, name in enumerate(sorted(CHAINS)):
+        lines.append(f"theory T{i} = extend Carrier with {{\n{CHAINS[name]}}}")
+    source = workdir / "chains.lib"
+    source.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["lib", str(source), "--constructions", ALL_KINDS, "--out", "out"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines()[-1].startswith("theories=4 definitions=32 ")
+
+
 def test_missing_input_file_is_reported(workdir, capsys):
     assert main(["gen", "nope.eqt"]) == 1
     assert main(["lib", "nope.lib"]) == 1

@@ -118,6 +118,36 @@ def test_every_declaration_reparses_to_itself(decl):
         assert parse_file(print_decl(d)) == [d]
 
 
+# -- curried quantifiers -----------------------------------------------------------
+
+@given(theory_decls(), st.data())
+def test_a_curried_quantifier_chain_generates_like_one_quantifier(decl, data):
+    # split each axiom's binder group at random places; the grouped record
+    # quantifies once over the groups, the curried one once per group
+    grouped_fields, curried_fields = [], []
+    for f in decl.fields:
+        grouped = curried = f.ty
+        if isinstance(f.ty, Quant):
+            (b,) = f.ty.binders
+            n = len(b.names)
+            cuts = sorted(data.draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
+            bounds = [0, *cuts, n]
+            groups = [Binder(b.names[i:j], b.ty, data.draw(st.booleans())) for i, j in zip(bounds, bounds[1:])]
+            grouped = Quant(groups, f.ty.body)
+            curried = f.ty.body
+            for g in reversed(groups):
+                curried = Quant([g], curried)
+        grouped_fields.append(Constr(f.name, grouped))
+        curried_fields.append(Constr(f.name, curried))
+    grouped = RecordDecl(decl.name, decl.params, decl.constructor_name, grouped_fields)
+    curried = RecordDecl(decl.name, decl.params, decl.constructor_name, curried_fields)
+    assert check_module([curried]) == []
+    assert parse_file(print_decl(curried)) == [curried]
+    t = extract(curried)
+    assert t == extract(grouped)
+    assert gen_all(t, ALL_KINDS) == gen_all(extract(grouped), ALL_KINDS)
+
+
 # -- renaming equivariance ------------------------------------------------------
 
 def _quantified(ty: TypeExpr) -> list[str]:
