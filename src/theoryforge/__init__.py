@@ -5,73 +5,49 @@ declarations, and mechanically generate their signature, product algebra,
 term languages, and homomorphism family; expand tiny-theories libraries
 built with rename / extend / combine; evaluate and normalize terms against
 models through oriented axioms.
+
+Importing the package loads none of its modules.  Each public name is
+served on first use (PEP 562) from the module that ``_MODULE_OF`` names,
+so a caller loads only what it uses: ``from theoryforge import
+combinators, engine`` loads neither the generators, the printer nor the
+checker.
 """
 
-from .ast import DataDecl, Decl, RecordDecl
-from .checker import CheckError, check_decl, check_module
-from .combinators import (
-    Library,
-    expand,
-    expand_library,
-    load_library,
-    parse_library,
-    standard_library_path,
-)
-from .generators import GenKind, NameSupply, gen_all
-from .parser import ParseError, parse_file
-from .printer import print_decl, print_module
-from .theory import Axiom, EqTheory, RenameScheme, ShapeError, embed, extract, rename
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-# served on first use (PEP 562): no command-line path runs the engine, so
-# importing the package for the CLI does not load it
-_ENGINE_NAMES = frozenset(
-    {"Model", "OpenTerm", "RewriteRule", "TOp", "TVar", "eval_term", "normalize", "orient"}
-)
+_MODULE_OF = {
+    name: module
+    for module, names in {
+        "ast": ("DataDecl", "Decl", "RecordDecl"),
+        "checker": ("CheckError", "check_decl", "check_module"),
+        "combinators": (
+            "Library",
+            "expand",
+            "expand_library",
+            "load_library",
+            "parse_library",
+            "standard_library_path",
+        ),
+        "engine": ("Model", "OpenTerm", "RewriteRule", "TOp", "TVar", "eval_term", "normalize", "orient"),
+        "generators": ("GenKind", "NameSupply", "gen_all"),
+        "parser": ("ParseError", "parse_file"),
+        "printer": ("print_decl", "print_module"),
+        "theory": ("Axiom", "EqTheory", "RenameScheme", "ShapeError", "embed", "extract", "rename"),
+    }.items()
+    for name in names
+}
+
+__all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name: str):
-    if name in _ENGINE_NAMES:
-        from . import engine
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{module}", __name__), name)
 
-        return getattr(engine, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
-
-__all__ = [
-    "Axiom",
-    "CheckError",
-    "DataDecl",
-    "Decl",
-    "EqTheory",
-    "GenKind",
-    "Library",
-    "Model",
-    "NameSupply",
-    "OpenTerm",
-    "ParseError",
-    "RecordDecl",
-    "RenameScheme",
-    "RewriteRule",
-    "ShapeError",
-    "TOp",
-    "TVar",
-    "check_decl",
-    "check_module",
-    "embed",
-    "eval_term",
-    "expand",
-    "expand_library",
-    "extract",
-    "gen_all",
-    "load_library",
-    "normalize",
-    "orient",
-    "parse_file",
-    "parse_library",
-    "print_decl",
-    "print_module",
-    "rename",
-    "standard_library_path",
-]
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -15,7 +15,7 @@ one base, :class:`Structure`, whose ``==`` compares every field except
 ``pos``: one loop over an explicit stack, driven by each class's
 ``_split``, so comparing trees of any depth never raises
 ``RecursionError``.  They are mutable and unhashable, and their ``repr``
-lists every field, ``pos`` included.
+lists every field, ``pos`` included; it walks an explicit stack too.
 """
 
 from __future__ import annotations
@@ -77,8 +77,33 @@ class Structure:
         return True
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
-        return f"{type(self).__qualname__}({fields})"
+        # an explicit stack of structures and lists still to write, and of
+        # text ready to append, so that no depth raises ``RecursionError``;
+        # any other value is written with ``repr`` into the text around it
+        out: list[str] = []
+        todo: list[Any] = [self]
+        while todo:
+            x = todo.pop()
+            if type(x) is str:
+                out.append(x)
+                continue
+            if type(x) is list:
+                text, end = "[", "]"
+                items = [(", " if i else "", v) for i, v in enumerate(x)]
+            else:
+                text, end = f"{type(x).__qualname__}(", ")"
+                items = [(f", {f}=" if i else f"{f}=", getattr(x, f)) for i, f in enumerate(x.__slots__)]
+            parts: list[Any] = []
+            for label, v in items:
+                text += label
+                if isinstance(v, Structure) or type(v) is list:
+                    parts += (text, v)
+                    text = ""
+                else:
+                    text += repr(v)
+            parts.append(text + end)
+            todo += reversed(parts)
+        return "".join(out)
 
 
 class _Named(Structure):

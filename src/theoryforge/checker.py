@@ -59,6 +59,17 @@ def format_errors(errors: list[CheckError], filename: str) -> str:
     return "\n".join(e.format(filename) for e in errors)
 
 
+def _same_sort(a: TypeExpr, b: TypeExpr) -> bool:
+    """``a == b`` for two sorts.  A sort is nearly always a name or a head
+    applied to names, which are compared here by name; anything else goes
+    through the general ``==`` walk."""
+    if type(a) is SortRef and type(b) is SortRef:
+        return a.name == b.name
+    if type(a) is TyApp and type(b) is TyApp and all(type(x) is SortRef for x in (*a.args, *b.args)):
+        return a.head == b.head and [x.name for x in a.args] == [y.name for y in b.args]
+    return a == b
+
+
 class _RecordInfo:
     def __init__(self, params: list[tuple[str, TypeExpr]], fields: dict[str, TypeExpr]):
         self.params = params
@@ -179,7 +190,7 @@ class _DeclChecker:
         if isinstance(ty, Equation):
             lhs_sort = self.infer_sort(ty.lhs, bound)
             rhs_sort = self.infer_sort(ty.rhs, bound)
-            if lhs_sort is not None and rhs_sort is not None and lhs_sort != rhs_sort:
+            if lhs_sort is not None and rhs_sort is not None and not _same_sort(lhs_sort, rhs_sort):
                 self.error(
                     SORT_MISMATCH,
                     "equation sides have different sorts "
@@ -307,7 +318,7 @@ class _DeclChecker:
             got = self.infer_sort(a, bound)
             if got is None:
                 ok = False
-            elif got != want:
+            elif not _same_sort(got, want):
                 self.error(
                     SORT_MISMATCH,
                     f"argument of {name!r} has sort {print_type(got)}, expected {print_type(want)}",

@@ -26,12 +26,15 @@ changed.  Each rule plans the rebuild of its right-hand side when it is
 made.  ``normalize``, ``is_normal``, ``eval_term``, ``symbol_count`` and
 the equality test of a repeated pattern variable run on explicit stacks:
 no term is too deep for them.
+
+``TVar``, ``TOp``, ``Model`` and ``RewriteRule`` share one small frozen
+base instead of being dataclasses, so loading the engine does not load
+``dataclasses`` (nor ``inspect``, which it imports).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from operator import is_not
+from operator import attrgetter, is_not
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .ast import Term, Var, spine
@@ -52,21 +55,67 @@ class FuelExhausted(Exception):
         self.partial = partial
 
 
-@dataclass(frozen=True, slots=True)
-class TVar:
-    index: int
+_set = object.__setattr__
 
 
-@dataclass(frozen=True, slots=True)
-class TOp:
-    sym: str
-    args: tuple["OpenTerm", ...] = ()
+class _Frozen:
+    """Base of the engine's value classes, with the contract of a frozen
+    dataclass over the fields named in ``_fields``: ``repr`` lists them,
+    ``==`` holds only between instances of one class whose fields are
+    equal, ``hash`` is that of the tuple of fields, assigning or deleting
+    an attribute raises ``AttributeError``, and pickling calls the
+    constructor with the fields."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls.__match_args__ = cls._fields
+        get = attrgetter(*cls._fields)
+        # the field tuple; ``attrgetter`` of one name gives the bare value
+        cls._key = staticmethod(get if len(cls._fields) > 1 else lambda self: (get(self),))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._key(self)
+
+
+class TVar(_Frozen):
+    __slots__ = _fields = ("index",)
+
+    def __init__(self, index: int) -> None:
+        _set(self, "index", index)
+
+
+class TOp(_Frozen):
+    __slots__ = _fields = ("sym", "args")
+
+    def __init__(self, sym: str, args: tuple[OpenTerm, ...] = ()) -> None:
+        _set(self, "sym", sym)
+        _set(self, "args", args)
 
 
 OpenTerm = TVar | TOp
 
 # ``normalize`` builds the nodes it keeps through the slot descriptors,
-# without the frozen dataclass's ``__init__``
+# without ``TOp.__init__``
 _new_node = object.__new__
 _set_sym = TOp.sym.__set__  # type: ignore[attr-defined]
 _set_args = TOp.args.__set__  # type: ignore[attr-defined]
@@ -108,14 +157,16 @@ def term_from_axiom_side(side: Term, var_index: Mapping[str, int]) -> OpenTerm:
 
 # -- models and evaluation ---------------------------------------------------
 
-@dataclass(frozen=True)
-class Model:
+class Model(_Frozen):
     """A carrier with one n-ary function per operation symbol.  The carrier
     is implicit: whatever Python values the interpretations produce, with
     ``==`` as its decidable equality."""
 
-    interp: Mapping[str, Callable[..., Any]]
-    arities: Mapping[str, int]
+    __slots__ = _fields = ("interp", "arities")
+
+    def __init__(self, interp: Mapping[str, Callable[..., Any]], arities: Mapping[str, int]) -> None:
+        _set(self, "interp", interp)
+        _set(self, "arities", arities)
 
     @classmethod
     def for_theory(cls, t: EqTheory, interp: Mapping[str, Callable[..., Any]]) -> Model:
@@ -176,19 +227,19 @@ def eval_term(t: OpenTerm, model: Model, env: Env) -> Any:
 
 # -- orientation ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RewriteRule:
+class RewriteRule(_Frozen):
     """``lhs -> rhs``.  ``plan`` is how ``normalize`` rebuilds the
-    right-hand side (see :func:`_plan_rhs`)."""
+    right-hand side (see :func:`_plan_rhs`); it is not a field."""
 
-    var_count: int
-    lhs: TOp
-    rhs: OpenTerm
-    source_axiom: str
-    plan: tuple = field(init=False, compare=False, repr=False)
+    _fields = ("var_count", "lhs", "rhs", "source_axiom")
+    __slots__ = (*_fields, "plan")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "plan", _plan_rhs(self.rhs))
+    def __init__(self, var_count: int, lhs: TOp, rhs: OpenTerm, source_axiom: str) -> None:
+        _set(self, "var_count", var_count)
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
+        _set(self, "source_axiom", source_axiom)
+        _set(self, "plan", _plan_rhs(rhs))
 
 
 class RuleSet(tuple):

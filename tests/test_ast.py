@@ -73,6 +73,8 @@ def test_a_5000_arrow_type_compares_without_recursion(changed):
     a = _arrows()
     assert a == _arrows() and not a != _arrows()
     assert a != _arrows(changed) and not a == _arrows(changed)
+    leaf = "SortRef(name='A', pos=None)"
+    assert repr(a) == f"Arrow(dom={leaf}, cod=" * DEEP + leaf + ", pos=None)" * DEEP
 
 
 @pytest.mark.parametrize("changed", [-1, 0, DEEP // 2, DEEP - 1])
@@ -87,6 +89,8 @@ def test_deep_nesting_through_any_field_compares_without_recursion(nesting):
     a = nesting("a")
     assert a == nesting("a")
     assert a != nesting("b")
+    text = repr(a)
+    assert text.count("(name='a', pos=None)") == 1 and text.count("(") == text.count(")")
 
 
 def test_deep_equation_sides_and_declarations_compare_without_recursion():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import pytest
+
 from conftest import read_data
 from theoryforge.checker import (
     ARITY_MISMATCH,
@@ -54,6 +56,23 @@ record Bad (A1 : Set) (A2 : Set) (Mo1 : Monoid A1) : Set where
 """
     errors = check_module(parse_file(source))
     assert kinds_of(errors) == [SORT_MISMATCH]
+
+
+@pytest.mark.parametrize(
+    "field", ["g : Monoid A1 → A1\n    w : g Mo2 == g Mo1", "w : Mo1 == Mo2"], ids=["argument", "equation"]
+)
+def test_sort_mismatch_between_instances_over_different_carriers(monoid_source, field):
+    # an argument sort and the two sides of an equation, each ``Monoid A1``
+    # against ``Monoid A2``: same head, different argument
+    source = monoid_source + f"""
+record Bad (A1 : Set) (A2 : Set) (Mo1 : Monoid A1) (Mo2 : Monoid A2) : Set where
+  constructor badC
+  field
+    {field}
+"""
+    errors = check_module(parse_file(source))
+    assert kinds_of(errors) == [SORT_MISMATCH]
+    assert "Monoid A1" in errors[0].message and "Monoid A2" in errors[0].message
 
 
 def test_projection_arity_checked(monoid_source):

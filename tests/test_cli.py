@@ -596,25 +596,30 @@ def test_cli_import_and_a_serial_run_leave_the_process_machinery_unloaded(tmp_pa
     assert proc.stdout.splitlines() == ["[]", "theories=1 definitions=5 lines=21", "0 []"]
 
 
-def test_cli_import_leaves_the_engine_unloaded():
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, theoryforge.cli; print('theoryforge.engine' in sys.modules)"],
-        capture_output=True,
-        text=True,
-        cwd=Path(theoryforge.__file__).parents[1],
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
-
-
-def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    # together about a third of the import's time, paid by every CLI run
-    proc = subprocess.run(
+# each entry point, with modules it must not load: the engine, dataclasses
+# and inspect cost a CLI run import time and are never run by it; an engine
+# user runs none of the generators, printer, checker or CLI
+IMPORT_FOOTPRINTS = {
+    "cli": ("import theoryforge.cli", ["dataclasses", "inspect", "theoryforge.engine"]),
+    "engine": (
+        "from theoryforge import combinators, engine",
         [
-            sys.executable,
-            "-c",
-            "import sys, theoryforge.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))",
+            "dataclasses",
+            "inspect",
+            "theoryforge.checker",
+            "theoryforge.cli",
+            "theoryforge.generators",
+            "theoryforge.printer",
         ],
+    ),
+}
+
+
+@pytest.mark.parametrize("statement, unloaded", IMPORT_FOOTPRINTS.values(), ids=list(IMPORT_FOOTPRINTS))
+def test_an_entry_point_loads_only_what_it_runs(statement, unloaded):
+    script = f"import sys\n{statement}\nprint(sorted(set({unloaded!r}) & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
         capture_output=True,
         text=True,
         cwd=Path(theoryforge.__file__).parents[1],
@@ -629,6 +634,7 @@ def test_engine_names_are_served_by_the_package():
 
     assert normalize is engine.normalize and TOp is engine.TOp
     assert all(hasattr(theoryforge, name) for name in theoryforge.__all__)
+    assert set(theoryforge.__all__) <= set(dir(theoryforge))
     with pytest.raises(AttributeError):
         theoryforge.no_such_name
 

@@ -201,13 +201,50 @@ MONOID_RULES = [
 ]
 
 
+def _assert_frozen(value, fields):
+    """Assigning or deleting any of ``fields`` of ``value`` is refused."""
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+
+
 def test_compiled_rules_keep_their_repr_equality_and_hash(monoid):
+    # the contract of a frozen dataclass, for the rules and the other
+    # engine values alike
     rules = rules_for_theory(monoid, force_orient_assoc=True)
     assert [repr(r) for r in rules] == MONOID_RULES
     for a, b in zip(rules, rules_for_theory(monoid, force_orient_assoc=True)):
         assert a is not b
         assert a == b and hash(a) == hash(b)
         assert pickle.loads(pickle.dumps(a)) == a
+        _assert_frozen(a, ("var_count", "lhs", "rhs", "source_axiom", "plan"))
+
+    term = op(TVar(1), E)
+    assert repr(TVar(1)) == "TVar(index=1)"
+    assert repr(term) == "TOp(sym='op', args=(TVar(index=1), TOp(sym='e', args=())))"
+    for value, fields in ((TVar(1), ("index",)), (term, ("sym", "args"))):
+        same = pickle.loads(pickle.dumps(value))
+        assert same == value and same is not value and hash(same) == hash(value)
+        _assert_frozen(value, fields)
+    assert hash(TVar(1)) == hash((1,)) and hash(E) == hash(("e", ()))
+    assert TOp("f", ()) != ("f", ()) and TVar(0) != (0,) and TVar(0) != TOp("e")
+    assert term != op(TVar(0), E) and op(E, E) == op(E, E)
+    match term:
+        case TOp("op", (TVar(i), TOp("e"))):
+            assert i == 1
+
+    model = Model({"op": max, "e": int}, {"op": 2, "e": 0})
+    assert repr(model) == (
+        "Model(interp={'op': <built-in function max>, 'e': <class 'int'>}, arities={'op': 2, 'e': 0})"
+    )
+    same = pickle.loads(pickle.dumps(model))
+    assert same == model and same is not model
+    assert model != Model({"op": min, "e": int}, {"op": 2, "e": 0})
+    with pytest.raises(TypeError):
+        hash(model)  # its fields are dicts
+    _assert_frozen(model, ("interp", "arities"))
 
 
 # -- normalization -----------------------------------------------------------------
