@@ -27,18 +27,6 @@ Pos: TypeAlias = "tuple[int, int]"
 
 RESERVED_WORDS = frozenset({"record", "data", "field", "where", "constructor", "Set"})
 
-_NAME_EXTRA = frozenset("_-'")
-
-
-def is_valid_name(text: str) -> bool:
-    """A usable identifier: nonempty, not reserved, made of letters, digits,
-    ``_``, ``-`` and ``'``, starting with a letter or underscore."""
-    if not text or text in RESERVED_WORDS:
-        return False
-    if not (text[0].isalpha() or text[0] == "_"):
-        return False
-    return all(c.isalnum() or c in _NAME_EXTRA for c in text)
-
 
 # -- structural equality ---------------------------------------------------------
 
@@ -426,7 +414,6 @@ __all__ = [
     "arrow_chain",
     "arrow_components",
     "decl_member_names",
-    "is_valid_name",
     "map_names",
     "spine",
 ]

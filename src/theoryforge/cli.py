@@ -32,7 +32,9 @@ Defaults may also come from a ``theoryforge.cfg`` file in the working
 directory (line-oriented ``key = value``: ``constructions``, ``out``,
 ``jobs``, ``orient-assoc``, ``suffix.<kind>``; any other key, a repeated
 key, or an ``orient-assoc`` value other than ``1/true/yes/on`` or
-``0/false/no/off`` is an error); command-line flags win.
+``0/false/no/off`` is an error); command-line flags win.  Only the
+constructions in ``generators.DEFAULT_SUFFIXES`` take a suffix, and
+``x<suffix>`` must read back as one name (``lexer.is_name``).
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .ast import Decl, RecordDecl, is_valid_name
+from .ast import Decl, RecordDecl
 from .checker import check_module, format_errors
 from .combinators import LibraryError, load_library
 from .generators import (
@@ -57,6 +59,7 @@ from .generators import (
     kind_from_flag,
     prod_decl,
 )
+from .lexer import is_name
 from .parser import ParseError, parse_file
 from .printer import print_decl, print_module
 from .theory import EqTheory, ShapeError, embed, extract
@@ -93,16 +96,19 @@ class RunConfig:
         self.force_orient_assoc = force_orient_assoc
 
     def validate(self) -> None:
+        for kind in self.suffixes:
+            if kind not in DEFAULT_SUFFIXES:
+                takers = ", ".join(k.value for k in DEFAULT_SUFFIXES)
+                raise ValueError(f"construction {kind.value!r} takes no suffix (only {takers} do)")
         values = list(self.suffixes.values())
         if len(set(values)) != len(values):
             raise ValueError("construction suffixes must be pairwise distinct")
         for value in values:
-            if not value or not is_valid_name(f"x{value}"):
+            if not value or not is_name(f"x{value}"):
                 raise ValueError(f"suffix {value!r} would not form valid names")
 
 
-def _read_config_file(directory: Path) -> dict[str, str]:
-    path = directory / CONFIG_FILE
+def _read_config_file(path: Path) -> dict[str, str]:
     if not path.is_file():
         return {}
     try:
@@ -139,7 +145,8 @@ def _parse_kind_list(text: str) -> tuple[GenKind, ...]:
 
 
 def build_config(args: argparse.Namespace, cwd: Path | None = None) -> RunConfig:
-    cfg_values = _read_config_file(cwd or Path.cwd())
+    path = (cwd or Path.cwd()) / CONFIG_FILE
+    cfg_values = _read_config_file(path)
     cfg = RunConfig()
 
     constructions = (
@@ -150,11 +157,13 @@ def build_config(args: argparse.Namespace, cwd: Path | None = None) -> RunConfig
     out = args.out if args.out is not None else cfg_values.get("out")
     if out is not None:
         cfg.out_dir = Path(out)
-    jobs = args.jobs if args.jobs is not None else cfg_values.get("jobs")
+    jobs, source = args.jobs, "--jobs"
+    if jobs is None:
+        jobs, source = cfg_values.get("jobs"), f"{path}: jobs"
     if jobs is not None:
         cfg.jobs = int(jobs)
         if cfg.jobs < 1:
-            raise ValueError("--jobs must be at least 1")
+            raise ValueError(f"{source} must be at least 1")
     orient = cfg_values.get("orient-assoc")
     if orient is not None:
         cfg.force_orient_assoc = CONFIG_BOOLEANS[orient.lower()]
@@ -437,7 +446,7 @@ def _add_gen_flags(sub: argparse.ArgumentParser) -> None:
         "--suffix",
         action="append",
         metavar="KIND=STR",
-        help="override a renaming suffix, e.g. --suffix sig=Sg",
+        help="override the renaming suffix of sig, prod, termlang or open-termlang, e.g. --suffix sig=Sg",
     )
     sub.add_argument(
         "--jobs",

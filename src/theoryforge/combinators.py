@@ -113,30 +113,24 @@ def _expand_combine(e: Combine, left: EqTheory, right: EqTheory, over: EqTheory)
         raise ClashError(
             f"cannot combine {left.name!r} and {right.name!r}: waists differ"
         )
-    over_funcs = {f.name: f for f in over.func_types}
-    over_axioms = {a.name: a for a in over.axioms}
-    left_funcs = {f.name: f for f in left.func_types}
-    left_axioms = {a.name: a for a in left.axioms}
     left_names = set(left.declared_names())
-
-    funcs = list(left.func_types)
-    for f in right.func_types:
-        if f.name not in left_names:
-            funcs.append(f)
-            continue
-        if left_funcs.get(f.name) != f or over_funcs.get(f.name) != f:
-            raise ClashError(
-                f"{f.name!r} appears on both sides but does not come from {over.name!r}"
-            )
-    axioms = list(left.axioms)
-    for a in right.axioms:
-        if a.name not in left_names:
-            axioms.append(a)
-            continue
-        if left_axioms.get(a.name) != a or over_axioms.get(a.name) != a:
-            raise ClashError(
-                f"{a.name!r} appears on both sides but does not come from {over.name!r}"
-            )
+    merged = []
+    for mine, theirs, shared in (
+        (left.func_types, right.func_types, over.func_types),
+        (left.axioms, right.axioms, over.axioms),
+    ):
+        mine_by_name = {x.name: x for x in mine}
+        shared_by_name = {x.name: x for x in shared}
+        kept = list(mine)
+        for x in theirs:
+            if x.name not in left_names:
+                kept.append(x)
+            elif mine_by_name.get(x.name) != x or shared_by_name.get(x.name) != x:
+                raise ClashError(
+                    f"{x.name!r} appears on both sides but does not come from {over.name!r}"
+                )
+        merged.append(kept)
+    funcs, axioms = merged
     result = EqTheory(e.name, left.sort, funcs, axioms, left.waist)
     names = result.declared_names()
     if len(set(names)) != len(names):

@@ -23,9 +23,10 @@ that matches with its substitution.  ``normalize`` runs the dispatcher on
 a node's normalized arguments before it builds the node, and builds it
 (without the frozen ``__init__``) only when no rule fires and an argument
 changed.  Each rule plans the rebuild of its right-hand side when it is
-made.  ``normalize``, ``is_normal``, ``eval_term``, ``symbol_count`` and
-the equality test of a repeated pattern variable run on explicit stacks:
-no term is too deep for them.
+made.  ``normalize``, ``is_normal``, ``eval_term``, ``symbol_count``,
+the equality test of a repeated pattern variable and ``TOp``'s ``==``,
+``hash``, ``repr`` and pickling run on explicit stacks: no term is too
+deep for them.
 
 ``TVar``, ``TOp``, ``Model`` and ``RewriteRule`` share one small frozen
 base instead of being dataclasses, so loading the engine does not load
@@ -105,14 +106,103 @@ class TVar(_Frozen):
 
 
 class TOp(_Frozen):
+    """An operation symbol applied to a tuple of terms.  ``==``, ``hash``,
+    ``repr`` and pickling give what the frozen-dataclass contract gives,
+    but walk explicit stacks, so no depth of nesting raises
+    ``RecursionError``; a term pickles as its postfix node sequence."""
+
     __slots__ = _fields = ("sym", "args")
 
     def __init__(self, sym: str, args: tuple[OpenTerm, ...] = ()) -> None:
         _set(self, "sym", sym)
         _set(self, "args", args)
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return _same(self, other)  # type: ignore[arg-type]
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        # hash((sym, args)), bottom-up: in the tuples hashed, an argument's
+        # hash stands in for the argument
+        return hash(_fold(_postfix(self), lambda sym, args: _Hashed(hash((sym, args)))))
+
+    def __repr__(self) -> str:
+        out: list[str] = []
+        todo: list = [self]
+        while todo:
+            t = todo.pop()
+            if type(t) is str:
+                out.append(t)
+            elif isinstance(t, TOp):
+                args = t.args
+                out.append(f"{type(t).__qualname__}(sym={t.sym!r}, args=(")
+                todo.append(",))" if len(args) == 1 else "))")
+                for i in range(len(args) - 1, -1, -1):
+                    todo.append(args[i])
+                    if i:
+                        todo.append(", ")
+            else:
+                out.append(repr(t))
+        return "".join(out)
+
+    def __reduce__(self) -> tuple:
+        return _from_postfix, (_postfix(self),)
+
 
 OpenTerm = TVar | TOp
+
+
+def _postfix(t: OpenTerm) -> list:
+    """The nodes of ``t`` in postfix order, each ``TOp`` as the marker
+    ``(sym, argument count)`` after its arguments and each variable as
+    itself."""
+    out: list = []
+    todo: list = [t]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, TOp):
+            todo.append((t.sym, len(t.args)))
+            todo.extend(reversed(t.args))
+        else:
+            out.append(t)
+    return out
+
+
+def _fold(nodes: list, node: Callable[[str, tuple], Any]) -> Any:
+    """Combine a postfix node sequence bottom-up: each variable stands for
+    itself, each marker for ``node(sym, the values of its arguments)``."""
+    values: list = []
+    for x in nodes:
+        if type(x) is tuple:
+            sym, n = x
+            k = len(values) - n
+            args = tuple(values[k:])
+            del values[k:]
+            values.append(node(sym, args))
+        else:
+            values.append(x)
+    return values[0]
+
+
+def _from_postfix(nodes: list) -> OpenTerm:
+    """The term whose postfix node sequence is ``nodes``."""
+    return _fold(nodes, TOp)
+
+
+class _Hashed:
+    """Whatever hashes to ``value``: a subterm already hashed, inside the
+    tuples that ``TOp.__hash__`` hashes.  (An int will not do, since
+    ``hash(h) != h`` for hashes beyond the int hash's modulus.)"""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: int) -> None:
+        self.value = value
+
+    def __hash__(self) -> int:
+        return self.value
+
 
 # ``normalize`` builds the nodes it keeps through the slot descriptors,
 # without ``TOp.__init__``

@@ -41,6 +41,7 @@ from .theory import (
     Axiom,
     EqTheory,
     RenameScheme,
+    associativity,
     associativity_op,
     embed,
     rename_with,
@@ -73,6 +74,8 @@ DEFAULT_KINDS: tuple[GenKind, ...] = (
     GenKind.HOM,
 )
 
+# the constructions that rename members, with their default suffixes; no
+# other construction takes a suffix
 DEFAULT_SUFFIXES: dict[GenKind, str] = {
     GenKind.SIGNATURE: "S",
     GenKind.PRODUCT: "P",
@@ -174,9 +177,7 @@ def gen_product(t: EqTheory, suffix: str = "P", names: NameSupply | None = None)
         binders = [Binder([var_map[v]], prod_ty, hidden=False) for v in ax.var_names]
         op = associativity_op(ax)
         if op is not None:
-            a, b, c = (Var(var_map[v]) for v in ax.var_names)
-            lhs: Term = apply_spine(Sym(op), [apply_spine(Sym(op), [a, b]), c])
-            rhs: Term = apply_spine(Sym(op), [a, apply_spine(Sym(op), [b, c])])
+            lhs, rhs = associativity(op, *(Var(var_map[v]) for v in ax.var_names))
         else:
             lhs = map_names(ax.lhs, vars=var_map)
             rhs = map_names(ax.rhs, vars=var_map)

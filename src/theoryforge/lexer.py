@@ -142,6 +142,18 @@ def tokenize(source: str) -> list[Token]:
     return tokens
 
 
+def is_name(text: str) -> bool:
+    """Whether ``text`` reads back as one identifier: ``tokenize`` gives
+    exactly one ``NAME`` token, and its value is all of ``text``.  So a
+    reserved word, surrounding space, a comment and a dash that does not
+    join two identifier characters (``a-``, ``x--y``) all make it false."""
+    try:
+        tokens = tokenize(text)
+    except ParseError:
+        return False
+    return len(tokens) == 2 and tokens[0].kind == NAME and tokens[0].value == text
+
+
 __all__ = [
     "ARROW",
     "COLON",
@@ -157,5 +169,6 @@ __all__ = [
     "RBRACE",
     "RPAREN",
     "Token",
+    "is_name",
     "tokenize",
 ]

@@ -255,14 +255,7 @@ class Parser:
         while True:
             tok = tokens[self.pos]
             kind = tok.kind
-            if kind == NAME:
-                after = tokens[self.pos + 1]
-                if after.kind == ARROW:
-                    # the commonest operand, a lone name before an arrow
-                    links.append((Arrow, SortRef(tok.value, tok[2:]), after[2:]))
-                    self.pos += 2
-                    continue
-            elif (kind == LPAREN or kind == LBRACE) and self._binder_at(self.pos):
+            if (kind == LPAREN or kind == LBRACE) and self._binder_at(self.pos):
                 binders = [self._parse_binder_group()]
                 while self._binder_at(self.pos):
                     binders.append(self._parse_binder_group())
@@ -335,10 +328,7 @@ class Parser:
             pos = ty.pos
             t: Term = (Var if ty.head in bound else Sym)(ty.head, pos)
             for arg in ty.args:
-                if type(arg) is SortRef:
-                    t = App(t, (Var if arg.name in bound else Sym)(arg.name, arg.pos), pos)
-                else:
-                    t = App(t, self._to_term(arg, bound), pos)
+                t = App(t, self._to_term(arg, bound), pos)
             return t
         pos = getattr(ty, "pos", None) or (0, 0)
         raise ParseError("expected a term on this side of '=='", pos[0], pos[1])

@@ -8,6 +8,8 @@ many leading telescope entries are record parameters rather than fields.
 back, and ``rename`` rewrites declared names consistently everywhere they
 occur.  ``split_entries`` tells function symbols from axioms, for a
 record's entries and for the block of a library's ``extend`` alike.
+``associativity`` builds the one canonical associativity statement, which
+``associativity_op`` recognises and the product construction restates.
 Quantifier structure of axioms (grouping and hidden/explicit marks) is
 preserved verbatim so that ``embed(extract(d)) == d`` for records in
 telescope order whose axioms quantify at most once: a curried chain of
@@ -240,38 +242,33 @@ def rename_with(t: EqTheory, mapping: dict[str, str], new_name: str | None = Non
 
 # -- axiom shape recognition ----------------------------------------------------
 
+def associativity(op: str, x: Term, y: Term, z: Term) -> tuple[Term, Term]:
+    """The canonical statement that ``op`` is associative, as the two sides
+    of ``op (op x y) z == op x (op y z)``."""
+    f = Sym(op)
+    return App(App(f, App(App(f, x), y)), z), App(App(f, x), App(App(f, y), z))
+
+
 def associativity_op(ax: Axiom) -> str | None:
     """If the axiom states associativity of a binary symbol, return that
-    symbol's name.  Both statement orientations are recognised."""
+    symbol's name: its two sides, in either order, are what
+    :func:`associativity` builds for that symbol and the axiom's three
+    distinct variables, in some order."""
     names = ax.var_names
     if len(names) != 3 or len(set(names)) != 3:
         return None
-
-    def _match(side: Term, shape: str) -> tuple[str, tuple[str, str, str]] | None:
-        # shape "L": f (f a b) c ; shape "R": f a (f b c)
-        head, args = spine(side)
-        if not (isinstance(head, Sym) and len(args) == 2):
-            return None
-        outer = head.name
-        first, second = args
-        nested = first if shape == "L" else second
-        plain = second if shape == "L" else first
-        nhead, nargs = spine(nested)
-        if not (isinstance(nhead, Sym) and nhead.name == outer and len(nargs) == 2):
-            return None
-        if not all(isinstance(x, Var) for x in (*nargs, plain)):
-            return None
-        if shape == "L":
-            seq = (nargs[0].name, nargs[1].name, plain.name)  # type: ignore[union-attr]
-        else:
-            seq = (plain.name, nargs[0].name, nargs[1].name)  # type: ignore[union-attr]
-        return outer, seq
-
-    for lhs_shape, rhs_shape in (("L", "R"), ("R", "L")):
-        left = _match(ax.lhs, lhs_shape)
-        right = _match(ax.rhs, rhs_shape)
-        if left and right and left == right and set(left[1]) == set(names):
-            return left[0]
+    for one, other in ((ax.lhs, ax.rhs), (ax.rhs, ax.lhs)):
+        head, args = spine(one)
+        if type(head) is not Sym or len(args) != 2:
+            continue
+        xyz = [*spine(args[0])[1], args[1]]
+        if (
+            len(xyz) == 3
+            and all(type(v) is Var for v in xyz)
+            and {v.name for v in xyz} == set(names)
+            and (one, other) == associativity(head.name, *xyz)
+        ):
+            return head.name
     return None
 
 
@@ -340,6 +337,7 @@ __all__ = [
     "EqTheory",
     "RenameScheme",
     "ShapeError",
+    "associativity",
     "associativity_op",
     "constr_to_axiom",
     "embed",

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import multiprocessing
 import os
 import shutil
@@ -8,11 +9,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import theoryforge
 from conftest import DATA, tree_hash
 from theoryforge.ast import Arrow, Constr, DataDecl, SortRef
-from theoryforge.cli import main
+from theoryforge.cli import build_config, cmd_gen, main
 from theoryforge.combinators import standard_library_path
 from theoryforge.parser import parse_file
 
@@ -232,10 +235,45 @@ def test_gen_rejects_colliding_suffixes(workdir, capsys):
     assert "distinct" in capsys.readouterr().err
 
 
-def test_gen_rejects_malformed_suffix(workdir, capsys):
+@pytest.mark.parametrize("suffix", ["a b", "", "-", "--x"])
+def test_gen_rejects_malformed_suffix(workdir, capsys, suffix):
+    # "x-" and "x--x" would not read back as one name: the lexer splits them
     path = copy_fixture("monoid.eqt", workdir)
-    assert main(["gen", str(path), "--out", "out", "--suffix", "sig=a b"]) == 3
-    assert "valid names" in capsys.readouterr().err
+    assert main(["gen", str(path), "--out", "out", "--suffix", f"sig={suffix}"]) == 3
+    assert capsys.readouterr().err == f"suffix {suffix!r} would not form valid names\n"
+    assert not (workdir / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, config",
+    [(["--suffix", "hom=Q"], None), ([], "suffix.mono = Q\n"), (["--suffix", "endo=S"], None)],
+)
+def test_gen_refuses_a_suffix_for_a_construction_that_takes_none(workdir, capsys, flags, config):
+    path = copy_fixture("monoid.eqt", workdir)
+    if config is not None:
+        (workdir / "theoryforge.cfg").write_text(config, encoding="utf-8")
+    assert main(["gen", str(path), "--out", "out", *flags]) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert "takes no suffix" in line
+    assert not (workdir / "out").exists()
+
+
+@given(st.text(alphabet="aZ9_'-² (→", max_size=4))
+@example("Sg")
+@example("-x")
+@example("'")
+def test_every_accepted_sig_suffix_generates(tmp_path_factory, suffix):
+    # a suffix the configuration accepts never trips check-before-write
+    workdir = tmp_path_factory.mktemp("suffix")
+    args = argparse.Namespace(
+        constructions=None, out=str(workdir / "out"), suffix=[f"sig={suffix}"], jobs=None, orient_assoc=False
+    )
+    try:
+        cfg = build_config(args, cwd=workdir)
+    except ValueError:
+        return
+    assert cmd_gen(DATA / "monoid.eqt", cfg) == 0
+    assert (workdir / "out" / "Monoid" / "MonoidSig.gen.eqt").is_file()
 
 
 def test_gen_constructions_selection(workdir):
@@ -529,11 +567,15 @@ def test_config_file_jobs_must_be_an_integer(workdir, capsys):
     assert not (workdir / "generated").exists()
 
 
+def test_config_file_jobs_must_be_at_least_one(workdir, capsys):
+    copy_fixture("monoid.eqt", workdir)
+    (workdir / "theoryforge.cfg").write_text("jobs = 0\n", encoding="utf-8")
+    assert main(["gen", "monoid.eqt"]) == 3
+    assert capsys.readouterr().err == f"{workdir / 'theoryforge.cfg'}: jobs must be at least 1\n"
+    assert not (workdir / "generated").exists()
+
+
 def test_config_file_supplies_jobs_and_the_flag_wins(workdir):
-    import argparse
-
-    from theoryforge.cli import build_config
-
     (workdir / "theoryforge.cfg").write_text("jobs = 3\n", encoding="utf-8")
     ns = argparse.Namespace(constructions=None, out=None, suffix=None, jobs=None, orient_assoc=False)
     assert build_config(ns, cwd=workdir).jobs == 3

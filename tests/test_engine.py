@@ -398,6 +398,19 @@ def test_idempotence_compares_deep_terms_without_recursion(library):
     assert normalize(t, rules, default_fuel(t)) is c
 
 
+def test_deep_terms_compare_hash_print_and_pickle_without_recursion():
+    # equal but separately built, so == has to walk both
+    a, b = _left_comb(3000), _left_comb(3000)
+    assert a is not b and a == b and not a != b
+    assert a != _left_comb(2999) and a != op(_left_comb(2999), TVar(1))
+    assert hash(a) == hash(b)
+    text = repr(a)
+    assert text.startswith("TOp(sym='op', args=(" * 2999 + "TVar(index=0), TVar(index=1))")
+    assert text.count("TVar(") == 3000
+    same = pickle.loads(pickle.dumps(a))
+    assert same == a and same is not a and hash(same) == hash(a)
+
+
 # -- the skeleton rebuild against the full re-normalization it replaced ----------------
 
 def _reference_match(pattern, term, subst) -> bool:

@@ -190,3 +190,25 @@ def test_tokenize_raises_the_parsers_error_type():
     with pytest.raises(parser.ParseError) as exc:
         tokenize("a\n  #")
     assert (exc.value.line, exc.value.col, exc.value.message) == (2, 3, "unexpected character '#'")
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("pres-e", True),
+        ("x'", True),
+        ("x²", True),
+        ("_a-b-c", True),
+        ("", False),
+        ("a-", False),
+        ("x--y", False),
+        ("-", False),
+        ("a b", False),
+        (" a", False),
+        ("Set", False),
+        ("9a", False),
+        ("a→", False),
+    ],
+)
+def test_is_name_holds_for_exactly_one_name_token(text, expected):
+    assert lexer.is_name(text) is expected

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from theoryforge.ast import SetKind, SortRef
+from theoryforge.ast import App, Binder, SetKind, SortRef, Sym, Term, Var, spine
 from theoryforge.parser import parse_decl
 from theoryforge.theory import (
+    Axiom,
     CollisionError,
     RenameScheme,
     ShapeError,
@@ -176,6 +179,86 @@ def test_self_distributivity_is_not_associativity():
         "    sd : {x y z : A} → op x (op y z) == op (op x y) (op x z)"
     )
     assert associativity_op(extract(d).axioms[0]) is None
+
+
+def _reference_associativity_op(ax: Axiom) -> str | None:
+    """``associativity_op`` as it was written before it compared the sides
+    with ``associativity``'s output: each side matched against a shape
+    string."""
+    names = ax.var_names
+    if len(names) != 3 or len(set(names)) != 3:
+        return None
+
+    def _match(side: Term, shape: str) -> tuple[str, tuple[str, str, str]] | None:
+        # shape "L": f (f a b) c ; shape "R": f a (f b c)
+        head, args = spine(side)
+        if not (isinstance(head, Sym) and len(args) == 2):
+            return None
+        outer = head.name
+        first, second = args
+        nested = first if shape == "L" else second
+        plain = second if shape == "L" else first
+        nhead, nargs = spine(nested)
+        if not (isinstance(nhead, Sym) and nhead.name == outer and len(nargs) == 2):
+            return None
+        if not all(isinstance(x, Var) for x in (*nargs, plain)):
+            return None
+        if shape == "L":
+            seq = (nargs[0].name, nargs[1].name, plain.name)
+        else:
+            seq = (plain.name, nargs[0].name, nargs[1].name)
+        return outer, seq
+
+    for lhs_shape, rhs_shape in (("L", "R"), ("R", "L")):
+        left = _match(ax.lhs, lhs_shape)
+        right = _match(ax.rhs, rhs_shape)
+        if left and right and left == right and set(left[1]) == set(names):
+            return left[0]
+    return None
+
+
+def _binary(f: str, a: Term, b: Term) -> Term:
+    return App(App(Sym(f), a), b)
+
+
+_SYMBOLS = st.sampled_from(["op", "g"])
+_LEAVES = st.one_of(st.sampled_from("xyzw").map(Var), st.just(Sym("e")))
+_TERMS = st.recursive(
+    _LEAVES,
+    lambda kids: st.one_of(st.builds(_binary, _SYMBOLS, kids, kids), st.builds(App, _SYMBOLS.map(Sym), kids)),
+    max_leaves=5,
+)
+
+
+@st.composite
+def _nearly_associative_axioms(draw) -> Axiom:
+    """``op (op a b) c == op a (op b c)`` over binders ``x y z`` in some
+    order, its variables in any order and either orientation, with at most
+    one change: other binder names (repeated, missing or extra), ``g`` for
+    one ``op``, another leaf on one side, or one side another term."""
+    names = draw(st.permutations("xyz"))
+    leaves = [Var(n) for n in draw(st.permutations(names))]
+    others = list(leaves)
+    symbols = ["op"] * 4
+    change = draw(st.sampled_from(["none", "binders", "symbol", "leaf", "side"]))
+    if change == "binders":
+        names = draw(st.lists(st.sampled_from("xyzw"), min_size=2, max_size=4))
+    elif change == "symbol":
+        symbols[draw(st.integers(0, 3))] = "g"
+    elif change == "leaf":
+        others[draw(st.integers(0, 2))] = draw(_LEAVES)
+    lhs = _binary(symbols[0], _binary(symbols[1], leaves[0], leaves[1]), leaves[2])
+    rhs = _binary(symbols[2], others[0], _binary(symbols[3], others[1], others[2]))
+    if change == "side":
+        rhs = draw(_TERMS)
+    if draw(st.booleans()):
+        lhs, rhs = rhs, lhs
+    return Axiom("ax", [Binder(list(names), SortRef("A"))], lhs, rhs)
+
+
+@given(_nearly_associative_axioms())
+def test_associativity_op_agrees_with_the_shape_matcher_it_replaced(ax):
+    assert associativity_op(ax) == _reference_associativity_op(ax)
 
 
 def test_mentioned_constants_in_declaration_order(monoid):
