@@ -12,15 +12,18 @@ configuration.
 
 Each theory goes through one unit of work: generate, print, reparse and
 check the module text, then write its files, which happens only when the
-module checks clean.  With ``--jobs N`` the theories are dealt out in a
-stride over N processes: this process runs theories 0, N, 2N, ... and
-N - 1 forked processes run the rest, each writing its own theories' files
-and sending back a small record per theory.  Records are merged in theory
-order, so standard output, standard error, the exit code and the output
-tree are the same for any N.  A generation or write failure reports the
-first failing theory, the one a serial run stops at; the tree it leaves is
-partial, and with N > 1 may also hold theories after that one.  Without
-``fork`` (or with N = 1) the same unit runs in a plain loop.
+module checks clean.  The theories are dealt out in a stride over N
+processes, one per CPU this process may run on unless ``--jobs N`` says
+otherwise, and never more than there are theories: this process runs
+theories 0, N, 2N, ... and N - 1 forked processes run the rest, each
+writing its own theories' files and sending back a small record per
+theory.  Records are merged in theory order, so standard output, standard
+error, the exit code and the output tree are the same for any N.  A
+generation or write failure reports the first failing theory, the one a
+serial run stops at; the tree it leaves is partial, and with N > 1 may
+also hold theories after that one.  Without ``fork``, or when this process
+already runs more than one thread (a fork copies only the calling thread),
+the same unit runs in a plain loop.
 
 Generated layout, per theory: ``<out>/<Theory>/<Theory><Kind>.gen.eqt`` for
 each construction plus ``<out>/<Theory>/module.gen.eqt`` holding the input
@@ -44,7 +47,7 @@ import os
 import sys
 from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import Callable, NamedTuple, NoReturn
 
 from .ast import Decl, RecordDecl
 from .checker import check_module, format_errors
@@ -63,9 +66,6 @@ from .lexer import is_name
 from .parser import ParseError, parse_file
 from .printer import print_decl, print_module
 from .theory import EqTheory, ShapeError, embed, extract
-
-if TYPE_CHECKING:
-    from multiprocessing.connection import Connection
 
 CONFIG_FILE = "theoryforge.cfg"
 CONFIG_KEYS = frozenset({"constructions", "out", "jobs", "orient-assoc"})
@@ -86,7 +86,7 @@ class RunConfig:
         kinds: tuple[GenKind, ...] = DEFAULT_KINDS,
         suffixes: dict[GenKind, str] | None = None,
         out_dir: Path = Path("generated"),
-        jobs: int = 1,
+        jobs: int | None = None,
         force_orient_assoc: bool = False,
     ):
         self.kinds = kinds
@@ -290,58 +290,108 @@ def _run_share(
     return records, None
 
 
-def _share_worker(conn: Connection, run_share: RunShare, k: int, n: int) -> None:
-    with conn:
-        conn.send(run_share(k, n))
+def _share_worker(writer: int, run_share: RunShare, k: int, n: int) -> NoReturn:
+    """The whole life of a forked worker: run share ``k`` of ``n``, write
+    it pickled to ``writer``, and leave through ``os._exit``, so it never
+    returns into the caller's stack.  A worker that fails prints its
+    traceback and exits 1 without writing."""
+    import pickle
+
+    code = 1
+    try:
+        data = pickle.dumps(run_share(k, n))
+        with open(writer, "wb") as pipe:
+            pipe.write(data)
+        code = 0
+    except BaseException as e:
+        sys.excepthook(type(e), e, e.__traceback__)
+        sys.stderr.flush()
+    finally:
+        os._exit(code)
 
 
 def _run_shares(run_share: RunShare, n: int) -> list[ShareResult]:
     """Run share ``k`` of ``n`` for every ``k``: share 0 in this process,
     the others in forked processes, which inherit the theories instead of
-    receiving them pickled."""
+    receiving them pickled and send their results back down a pipe."""
     if n == 1:
         return [run_share(0, 1)]
-    import multiprocessing
+    import pickle
 
-    # fork, not spawn: a spawned worker would import the package again and
-    # receive every theory pickled; the CLI starts no thread, so forking is safe
-    context = multiprocessing.get_context("fork")
-    workers = []
+    # whatever is still buffered would otherwise be written once per process
+    sys.stdout.flush()
+    sys.stderr.flush()
+    workers: list[tuple[int, int]] = []  # (pid, read end of its pipe)
     try:
         for k in range(1, n):
-            receiver, sender = context.Pipe(duplex=False)
-            process = context.Process(target=_share_worker, args=(sender, run_share, k, n))
-            process.start()
-            sender.close()
-            workers.append((process, receiver))
-        shares = [run_share(0, n)]
-        for process, receiver in workers:
+            reader, writer = os.pipe()
             try:
-                shares.append(receiver.recv())
-            except EOFError:
-                process.join()
-                raise RuntimeError(
-                    f"a worker process exited with code {process.exitcode} before reporting"
-                ) from None
-        return shares
+                pid = os.fork()
+            except BaseException:
+                os.close(reader)
+                os.close(writer)
+                raise
+            if pid == 0:
+                _share_worker(writer, run_share, k, n)
+            os.close(writer)
+            workers.append((pid, reader))
+        shares = [run_share(0, n)]
+        sent = []
+        for _, reader in workers:
+            with open(reader, "rb", closefd=False) as pipe:
+                sent.append(pipe.read())
     except BaseException:
-        for process, _ in workers:
-            process.terminate()
+        import signal
+
+        for pid, _ in workers:
+            os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        for process, receiver in workers:
-            receiver.close()
-            process.join()
+        codes = []
+        for pid, reader in workers:
+            os.close(reader)
+            codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    for code, data in zip(codes, sent):
+        if code != 0 or not data:
+            raise RuntimeError(f"a worker process exited with code {code} before reporting")
+    return shares + [pickle.loads(data) for data in sent]
+
+
+def _thread_count() -> int:
+    """The threads of this process: the kernel's count where ``/proc``
+    lists them, else the ones the ``threading`` module knows of."""
+    try:
+        return len(os.listdir("/proc/self/task"))
+    except OSError:
+        import threading
+
+        return threading.active_count()
+
+
+def _process_count(jobs: int | None, theories: int) -> int:
+    """How many processes generate a batch: ``jobs``, or by default one
+    per usable CPU, capped by the number of theories.  Only this process
+    where there is no ``fork``, or where it already runs other threads: a
+    forked child has only the calling thread, so a lock that another
+    thread held at the fork stays held in the child forever."""
+    if not hasattr(os, "fork") or _thread_count() > 1:
+        return 1
+    if jobs is None:
+        try:
+            jobs = len(os.sched_getaffinity(0))
+        except AttributeError:  # no affinity call on this platform
+            jobs = os.cpu_count() or 1
+    return max(1, min(jobs, theories))
 
 
 def _generate_batch(
     theories: list[tuple[EqTheory, Decl | None]], cfg: RunConfig
 ) -> tuple[list[TheoryRecord], int]:
-    """Generate, check, and write a list of theories on up to ``cfg.jobs``
-    processes.  Returns one record per theory, in theory order, and a
-    process exit code; raises the :class:`GenError` of the first theory
-    that failed, as a serial run would."""
-    n = max(1, min(cfg.jobs, len(theories))) if hasattr(os, "fork") else 1
+    """Generate, check, and write a list of theories on up to
+    :func:`_process_count` processes.  Returns one record per theory, in
+    theory order, and a process exit code; raises the :class:`GenError` of
+    the first theory that failed, as a serial run would."""
+    n = _process_count(cfg.jobs, len(theories))
     shares = _run_shares(partial(_run_share, theories, cfg), n)
     failures = [failure for _, failure in shares if failure is not None]
     if failures:
@@ -452,7 +502,7 @@ def _add_gen_flags(sub: argparse.ArgumentParser) -> None:
         "--jobs",
         type=int,
         metavar="N",
-        help="generate on N processes (default 1); the output is the same for any N",
+        help="generate on N processes (default: one per usable CPU); the output is the same for any N",
     )
     sub.add_argument(
         "--orient-assoc",

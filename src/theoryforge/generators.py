@@ -16,6 +16,7 @@ from collections.abc import Container, Iterable
 from functools import cached_property
 
 from .ast import (
+    RESERVED_WORDS,
     App,
     Arrow,
     Binder,
@@ -96,7 +97,7 @@ def kind_from_flag(flag: str) -> GenKind:
 class NameSupply:
     """The names taken in one output module.  :meth:`fresh` returns the
     default name when it is free and primes it until it is; either way the
-    name is taken from then on."""
+    name is taken from then on.  A reserved word (``Set``) is never free."""
 
     def __init__(self, taken: Iterable[str] = ()) -> None:
         self.taken = set(taken)
@@ -111,7 +112,7 @@ class NameSupply:
         return cls(names)
 
     def fresh(self, name: str, avoid: Container[str] = ()) -> str:
-        while name in self.taken or name in avoid:
+        while name in self.taken or name in avoid or name in RESERVED_WORDS:
             name += "'"
         self.taken.add(name)
         return name

@@ -1,11 +1,11 @@
 from __future__ import annotations
 
 import argparse
-import multiprocessing
 import os
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import theoryforge
 from conftest import DATA, tree_hash
 from theoryforge.ast import Arrow, Constr, DataDecl, SortRef
-from theoryforge.cli import build_config, cmd_gen, main
+from theoryforge.cli import _process_count, build_config, cmd_gen, main
 from theoryforge.combinators import standard_library_path
 from theoryforge.parser import parse_file
 
@@ -30,6 +30,15 @@ def copy_fixture(name: str, dest: Path) -> Path:
     target = dest / name
     shutil.copy(DATA / name, target)
     return target
+
+
+def no_child_left() -> bool:
+    """Whether this process has no child, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
 
 
 # -- check ------------------------------------------------------------------
@@ -258,6 +267,19 @@ def test_gen_refuses_a_suffix_for_a_construction_that_takes_none(workdir, capsys
     assert not (workdir / "out").exists()
 
 
+def test_a_suffix_that_spells_a_reserved_word_gives_a_primed_name(workdir, capsys):
+    # Se with the sig suffix t would be Set, a reserved word
+    source = workdir / "m.eqt"
+    source.write_text("record M (Se : Set) : Set where\n  field\n    op : Se → Se → Se\n", encoding="utf-8")
+    assert main(["gen", str(source), "--out", "out", "--suffix", "sig=t"]) == 0
+    sig = (workdir / "out" / "M" / "MSig.gen.eqt").read_text(encoding="utf-8")
+    assert "record MSig (Set' : Set) : Set where" in sig
+    assert "opt : Set' → Set' → Set'" in sig
+    assert main(["check", str(workdir / "out" / "M" / "module.gen.eqt")]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == captured.err == ""
+
+
 @given(st.text(alphabet="aZ9_'-² (→", max_size=4))
 @example("Sg")
 @example("-x")
@@ -362,16 +384,17 @@ def test_lib_accepts_orient_assoc_flag(workdir):
 
 
 def test_lib_output_and_summary_are_the_same_on_any_number_of_processes(workdir, capsys):
-    # 62 theories split 31/31 over two processes and 21/21/20 over three
+    # 62 theories split 31/31 over two processes and 21/21/20 over three;
+    # the default is one process per usable CPU
     kinds = "sig,prod,termlang,open-termlang,hom,mono,endo"
     runs = {}
-    for jobs in ("1", "2", "3"):
+    for jobs in ("1", "2", "3", "default"):
         out = f"out{jobs}"
-        argv = ["lib", str(standard_library_path()), "--constructions", kinds, "--out", out, "--jobs", jobs]
-        assert main(argv) == 0
+        argv = ["lib", str(standard_library_path()), "--constructions", kinds, "--out", out]
+        assert main(argv if jobs == "default" else [*argv, "--jobs", jobs]) == 0
         runs[jobs] = (tree_hash(workdir / out), capsys.readouterr())
-        assert multiprocessing.active_children() == []
-    assert runs["1"] == runs["2"] == runs["3"]
+        assert no_child_left()
+    assert runs["1"] == runs["2"] == runs["3"] == runs["default"]
     assert runs["1"][0] == "6c740ad5b1f1bcd0fc60238dc63685454050aab3d5f312f089d29a6e1a75abce"
     assert runs["1"][1].out == "theories=62 definitions=496 lines=3907\n"
 
@@ -452,7 +475,7 @@ def test_gen_failure_names_the_first_failing_theory_on_any_number_of_processes(w
     assert errors[0] == errors[1]
     assert errors[0].startswith(f"{source}: cannot write to out: ")
     assert "'out/A1'" in errors[0] and "A2" not in errors[0]
-    assert multiprocessing.active_children() == []
+    assert no_child_left()
 
 
 # each record passes check, and at the parent of the fresh-name supply each
@@ -508,7 +531,7 @@ def test_out_on_a_regular_file_fails_the_same_on_any_number_of_processes(workdir
         captured = capsys.readouterr()
         assert captured.out == ""
         errors.append(captured.err)
-        assert multiprocessing.active_children() == []
+        assert no_child_left()
     assert errors[0] == errors[1]
     assert errors[0].startswith(f"{standard_library_path()}: cannot write to taken: ")
     assert errors[0].count("\n") == 1
@@ -528,7 +551,90 @@ def test_a_worker_that_dies_is_an_error_and_leaves_no_child_behind(workdir, monk
     monkeypatch.setattr(cli, "_run_theory", dying)
     with pytest.raises(RuntimeError, match="exited with code 7"):
         main(["lib", str(standard_library_path()), "--out", "out", "--jobs", "3"])
-    assert multiprocessing.active_children() == []
+    assert no_child_left()
+
+
+def test_a_worker_that_raises_is_an_error_and_leaves_no_child_behind(workdir, monkeypatch, capfd):
+    from theoryforge import cli
+
+    main_pid = os.getpid()
+    run_theory = cli._run_theory
+
+    def raising(*args):
+        if os.getpid() != main_pid:
+            raise ValueError("unexpected in a worker")
+        return run_theory(*args)
+
+    monkeypatch.setattr(cli, "_run_theory", raising)
+    with pytest.raises(RuntimeError, match="exited with code 1 before reporting"):
+        main(["lib", str(standard_library_path()), "--out", "out", "--jobs", "3"])
+    assert no_child_left()
+    # each of the two workers prints its own traceback
+    assert capfd.readouterr().err.count("ValueError: unexpected in a worker") == 2
+
+
+# -- default number of processes -----------------------------------------------------------
+
+def test_the_default_run_equals_a_run_on_one_process_when_a_module_fails_its_check(workdir, capsys, rejected):
+    source = workdir / "mo.eqt"
+    monoid = (DATA / "monoid.eqt").read_text(encoding="utf-8")
+    source.write_text(monoid + "\n" + _plain("Mo"), encoding="utf-8")
+    runs = []
+    for jobs in ([], ["--jobs", "1"]):
+        code = main(["gen", str(source), "--constructions", "hom,endo", "--out", "out", *jobs])
+        runs.append((code, tree_hash(workdir / "out"), capsys.readouterr()))
+        shutil.rmtree(workdir / "out")
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 2 and runs[0][2].out.count("UnboundName") == 2
+
+
+def test_the_default_is_one_process_per_usable_cpu_up_to_the_number_of_theories(workdir, monkeypatch):
+    from theoryforge import cli
+
+    counts = []
+
+    def in_this_process(run_share, n):
+        counts.append(n)
+        return [run_share(k, n) for k in range(n)]
+
+    # 64 CPUs, without forking 64 processes: the shares run one after another here
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+    monkeypatch.setattr(cli, "_run_shares", in_this_process)
+    assert main(["lib", str(standard_library_path()), "--out", "lib"]) == 0
+    source = workdir / "two.eqt"
+    source.write_text((DATA / "monoid.eqt").read_text(encoding="utf-8") + "\n" + _plain("Mo"), encoding="utf-8")
+    assert main(["gen", str(source), "--out", "gen"]) == 0
+    assert main(["gen", str(source), "--out", "gen1", "--jobs", "1"]) == 0
+    assert counts == [62, 2, 1]
+    assert tree_hash(workdir / "gen") == tree_hash(workdir / "gen1")
+
+
+def test_the_default_falls_back_to_the_cpu_count_then_to_one(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert _process_count(None, 62) == 5
+    assert _process_count(None, 3) == 3
+    assert _process_count(8, 62) == 8
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _process_count(None, 62) == 1
+
+
+@pytest.mark.parametrize("jobs", [[], ["--jobs", "2"]], ids=["default", "jobs-2"])
+def test_a_process_that_runs_another_thread_does_not_fork(workdir, monkeypatch, capsys, jobs):
+    def refuse():
+        raise AssertionError("forked while another thread runs")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert main(["lib", str(standard_library_path()), "--out", "out", *jobs]) == 0
+    finally:
+        release.set()
+        thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert capsys.readouterr().out.startswith("theories=62 ")
 
 
 # -- config file -----------------------------------------------------------------------
@@ -583,7 +689,8 @@ def test_config_file_supplies_jobs_and_the_flag_wins(workdir):
     assert build_config(ns, cwd=workdir).jobs == 2
     (workdir / "theoryforge.cfg").unlink()
     ns.jobs = None
-    assert build_config(ns, cwd=workdir).jobs == 1
+    assert build_config(ns, cwd=workdir).jobs is None
+    assert _process_count(None, 62) == min(len(os.sched_getaffinity(0)), 62)
 
 
 def test_config_file_rejects_misspelt_orient_assoc(workdir, capsys):
@@ -618,14 +725,12 @@ def test_module_entry_point_runs(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_cli_import_and_a_serial_run_leave_the_process_machinery_unloaded(tmp_path):
-    lib = tmp_path / "one.lib"
-    lib.write_text("theory Carrier = base { A : Set }\n", encoding="utf-8")
+def _heavy_modules_around_a_run(lib: Path, out: Path, jobs: str) -> list[str]:
     script = (
         "import sys, theoryforge.cli\n"
         "heavy = ('multiprocessing', 'concurrent.futures')\n"
         "print([m for m in heavy if m in sys.modules])\n"
-        f"code = theoryforge.cli.main(['lib', {str(lib)!r}, '--out', {str(tmp_path / 'out')!r}, '--jobs', '1'])\n"
+        f"code = theoryforge.cli.main(['lib', {str(lib)!r}, '--out', {str(out)!r}, '--jobs', {jobs!r}])\n"
         "print(code, [m for m in heavy if m in sys.modules])\n"
     )
     proc = subprocess.run(
@@ -635,14 +740,32 @@ def test_cli_import_and_a_serial_run_leave_the_process_machinery_unloaded(tmp_pa
         cwd=Path(theoryforge.__file__).parents[1],
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "theories=1 definitions=5 lines=21", "0 []"]
+    return proc.stdout.splitlines()
+
+
+def test_cli_import_and_a_serial_run_leave_the_process_machinery_unloaded(tmp_path):
+    lib = tmp_path / "one.lib"
+    lib.write_text("theory Carrier = base { A : Set }\n", encoding="utf-8")
+    lines = _heavy_modules_around_a_run(lib, tmp_path / "out", "1")
+    assert lines == ["[]", "theories=1 definitions=5 lines=21", "0 []"]
+
+
+def test_a_parallel_run_leaves_the_process_machinery_unloaded(tmp_path):
+    lib = tmp_path / "two.lib"
+    lib.write_text(
+        "theory Carrier = base { A : Set }\ntheory Magma = extend Carrier with { op : A → A → A }\n",
+        encoding="utf-8",
+    )
+    lines = _heavy_modules_around_a_run(lib, tmp_path / "out", "2")
+    assert lines[0] == "[]" and lines[-1] == "0 []"
 
 
 # each entry point, with modules it must not load: the engine, dataclasses
-# and inspect cost a CLI run import time and are never run by it; an engine
+# and inspect cost a CLI run import time and are never run by it, nor is
+# multiprocessing; only a parallel run loads pickle, when it forks; an engine
 # user runs none of the generators, printer, checker or CLI
 IMPORT_FOOTPRINTS = {
-    "cli": ("import theoryforge.cli", ["dataclasses", "inspect", "theoryforge.engine"]),
+    "cli": ("import theoryforge.cli", ["dataclasses", "inspect", "multiprocessing", "pickle", "theoryforge.engine"]),
     "engine": (
         "from theoryforge import combinators, engine",
         [

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import same_decl_ignoring_constructor
 from theoryforge.ast import (
+    RESERVED_WORDS,
     Arrow,
     Binder,
     DataDecl,
@@ -19,6 +20,7 @@ from theoryforge.generators import (
     DEFAULT_KINDS,
     GenError,
     GenKind,
+    NameSupply,
     gen_all,
     gen_endomorphism,
     gen_hom,
@@ -260,3 +262,9 @@ def test_gen_all_module_checks_across_library(library):
 def test_default_suffixes_can_be_overridden(monoid):
     sig = gen_signature(monoid, "Zz")
     assert [f.name for f in sig.func_types] == ["eZz", "opZz"]
+
+
+def test_a_fresh_name_is_never_a_reserved_word():
+    names = NameSupply()
+    words = sorted(RESERVED_WORDS)
+    assert [names.fresh(w) for w in words] == [w + "'" for w in words]
