@@ -38,8 +38,8 @@ class Structure:
     says what it compares through ``_split``: the fields compared with
     plain ``==`` (with the length of every list of children), and the
     children.  The two structures are walked side by side on an explicit
-    stack of pairs.  ``repr`` lists the ``__slots__`` in order, which is
-    the constructor's order.
+    stack of pairs.  ``repr`` (:func:`write_repr`) lists the ``__slots__``
+    in order, which is the constructor's order.
     """
 
     __slots__ = ()
@@ -65,33 +65,41 @@ class Structure:
         return True
 
     def __repr__(self) -> str:
-        # an explicit stack of structures and lists still to write, and of
-        # text ready to append, so that no depth raises ``RecursionError``;
-        # any other value is written with ``repr`` into the text around it
-        out: list[str] = []
-        todo: list[Any] = [self]
-        while todo:
-            x = todo.pop()
-            if type(x) is str:
-                out.append(x)
-                continue
-            if type(x) is list:
-                text, end = "[", "]"
-                items = [(", " if i else "", v) for i, v in enumerate(x)]
+        return write_repr(self, Structure, "__slots__")
+
+
+def write_repr(x: Any, base: type, fields: str) -> str:
+    """``repr(x)`` for an ``x`` that is a list, a tuple or an instance of
+    ``base``, written on an explicit stack so that no depth raises
+    ``RecursionError``.  Lists and tuples are spelt as Python spells them
+    (``(x,)`` included); an instance of ``base`` as its class name and the
+    fields its class attribute ``fields`` names, ``name=value`` each; any
+    other value through ``repr``."""
+    out: list[str] = []
+    todo: list[Any] = [x]  # values still to write, and text ready to append
+    while todo:
+        x = todo.pop()
+        cls = type(x)
+        if cls is str:
+            out.append(x)
+            continue
+        if cls is list or cls is tuple:
+            text, end = ("[", "]") if cls is list else ("(", ",)" if len(x) == 1 else ")")
+            items = [(", " if i else "", v) for i, v in enumerate(x)]
+        else:
+            text, end = f"{cls.__qualname__}(", ")"
+            items = [(f", {f}=" if i else f"{f}=", getattr(x, f)) for i, f in enumerate(getattr(x, fields))]
+        parts: list[Any] = []
+        for label, v in items:
+            text += label
+            if type(v) is list or type(v) is tuple or isinstance(v, base):
+                parts += (text, v)
+                text = ""
             else:
-                text, end = f"{type(x).__qualname__}(", ")"
-                items = [(f", {f}=" if i else f"{f}=", getattr(x, f)) for i, f in enumerate(x.__slots__)]
-            parts: list[Any] = []
-            for label, v in items:
-                text += label
-                if isinstance(v, Structure) or type(v) is list:
-                    parts += (text, v)
-                    text = ""
-                else:
-                    text += repr(v)
-            parts.append(text + end)
-            todo += reversed(parts)
-        return "".join(out)
+                text += repr(v)
+        parts.append(text + end)
+        todo += reversed(parts)
+    return "".join(out)
 
 
 class _Named(Structure):
@@ -382,6 +390,11 @@ class DataDecl(Structure):
 Decl: TypeAlias = Union[RecordDecl, DataDecl]
 
 
+def default_constructor(name: str) -> str:
+    """The constructor name of a record that declares none."""
+    return name + "C"
+
+
 def decl_member_names(d: Decl) -> list[str]:
     """Field or constructor names of a declaration, in source order."""
     if isinstance(d, RecordDecl):
@@ -414,6 +427,8 @@ __all__ = [
     "arrow_chain",
     "arrow_components",
     "decl_member_names",
+    "default_constructor",
     "map_names",
     "spine",
+    "write_repr",
 ]

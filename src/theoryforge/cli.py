@@ -7,7 +7,11 @@ Subcommands:
 * ``lib FILE``           expand a ``.lib`` library and generate for all of it
 
 Exit codes: 0 success, 1 parse failure, 2 check failure, 3 generation or
-expansion failure.  Output is a pure function of the inputs and the run
+expansion failure or a refused command line or configuration (a command
+line that argparse refuses prints its usage and the reason on stderr;
+``--help`` exits 0).  An input that cannot be read, is not UTF-8, does
+not parse or does not expand is reported on one stderr line
+(:func:`_load`).  Output is a pure function of the inputs and the run
 configuration.
 
 Each theory goes through one unit of work: generate, print, reparse and
@@ -38,6 +42,9 @@ key, or an ``orient-assoc`` value other than ``1/true/yes/on`` or
 ``0/false/no/off`` is an error); command-line flags win.  Only the
 constructions in ``generators.DEFAULT_SUFFIXES`` take a suffix, and
 ``x<suffix>`` must read back as one name (``lexer.is_name``).
+``orient-assoc`` and ``--orient-assoc`` are accepted and stored in
+``RunConfig.force_orient_assoc``, which no command reads yet: they change
+no output.
 """
 
 from __future__ import annotations
@@ -47,7 +54,7 @@ import os
 import sys
 from functools import partial
 from pathlib import Path
-from typing import Callable, NamedTuple, NoReturn
+from typing import Any, Callable, NamedTuple, NoReturn
 
 from .ast import Decl, RecordDecl
 from .checker import check_module, format_errors
@@ -407,15 +414,27 @@ def _generate_batch(
 
 # -- subcommands -------------------------------------------------------------------
 
+def _read_decls(path: Path) -> list[Decl]:
+    return parse_file(path.read_text(encoding="utf-8"))
+
+
+def _load(load: Callable[[Path], Any], path: Path) -> tuple[Any, int]:
+    """``load(path)`` and ``EXIT_OK``; or, for an input that cannot be
+    read, is not UTF-8, does not parse or does not expand, ``None`` and
+    its exit code, after one line on stderr that says why."""
+    try:
+        return load(path), EXIT_OK
+    except (OSError, UnicodeDecodeError, ParseError, LibraryError) as e:
+        print(_parse_error_line(path, e) if isinstance(e, ParseError) else f"{path}: {e}", file=sys.stderr)
+        return None, EXIT_GEN if isinstance(e, LibraryError) else EXIT_PARSE
+
+
 def cmd_check(paths: list[Path]) -> int:
     worst = EXIT_OK
     for path in paths:
-        try:
-            decls = parse_file(path.read_text(encoding="utf-8"))
-        except (OSError, UnicodeDecodeError, ParseError) as e:
-            line = _parse_error_line(path, e) if isinstance(e, ParseError) else f"{path}: {e}"
-            print(line, file=sys.stderr)
-            worst = EXIT_PARSE
+        decls, code = _load(_read_decls, path)
+        if decls is None:
+            worst = code
             continue
         errors = check_module(decls)
         if errors:
@@ -426,14 +445,9 @@ def cmd_check(paths: list[Path]) -> int:
 
 
 def cmd_gen(path: Path, cfg: RunConfig) -> int:
-    try:
-        decls = parse_file(path.read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError) as e:
-        print(f"{path}: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except ParseError as e:
-        print(_parse_error_line(path, e), file=sys.stderr)
-        return EXIT_PARSE
+    decls, code = _load(_read_decls, path)
+    if decls is None:
+        return code
     errors = check_module(decls)
     if errors:
         print(format_errors(errors, str(path)))
@@ -458,17 +472,9 @@ def cmd_gen(path: Path, cfg: RunConfig) -> int:
 
 
 def cmd_lib(path: Path, cfg: RunConfig) -> int:
-    try:
-        library = load_library(path)
-    except (OSError, UnicodeDecodeError) as e:
-        print(f"{path}: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except ParseError as e:
-        print(_parse_error_line(path, e), file=sys.stderr)
-        return EXIT_PARSE
-    except LibraryError as e:
-        print(f"{path}: {e}", file=sys.stderr)
-        return EXIT_GEN
+    library, code = _load(load_library, path)
+    if library is None:
+        return code
 
     theories: list[tuple[EqTheory, Decl | None]] = [(t, None) for t in library.theories()]
     try:
@@ -485,6 +491,16 @@ def cmd_lib(path: Path, cfg: RunConfig) -> int:
 
 
 # -- argument parsing ----------------------------------------------------------------
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argument parser that refuses a command line with exit code 3, as
+    a refused configuration is; its subcommand parsers are of this class
+    too."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_GEN, f"{self.prog}: error: {message}\n")
+
 
 def _add_gen_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
@@ -507,12 +523,12 @@ def _add_gen_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--orient-assoc",
         action="store_true",
-        help="orient associativity axioms left-to-right in the rewrite engine",
+        help="accepted and stored for the rewrite engine, which no command runs yet: changes no output",
     )
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="theoryforge",
         description="Generate derived constructions from equational theory presentations.",
     )

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import NamedTuple, Union
 
 from . import lexer
-from .ast import Binder, Constr, RecordDecl, SetKind
+from .ast import Binder, Constr, RecordDecl, SetKind, default_constructor
 from .lexer import tokenize
 from .parser import Parser
 from .theory import (
@@ -240,7 +240,7 @@ class _LibParser(Parser):
             raise self._error(f"base theory {name!r} must declare its sort first (e.g. 'A : Set')", tok)
         sort = decls[0]
         params = [Binder([sort.name], sort.ty, pos=sort.pos)]
-        return RecordDecl(name, params, name + "C", decls[1:], pos=(tok.line, tok.col))
+        return RecordDecl(name, params, default_constructor(name), decls[1:], pos=(tok.line, tok.col))
 
 
 def parse_library(source: str) -> list[TheoryExpr]:

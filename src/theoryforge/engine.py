@@ -23,10 +23,12 @@ that matches with its substitution.  ``normalize`` runs the dispatcher on
 a node's normalized arguments before it builds the node, and builds it
 (without the frozen ``__init__``) only when no rule fires and an argument
 changed.  Each rule plans the rebuild of its right-hand side when it is
-made.  ``normalize``, ``is_normal``, ``eval_term``, ``symbol_count``,
-the equality test of a repeated pattern variable and ``TOp``'s ``==``,
-``hash``, ``repr`` and pickling run on explicit stacks: no term is too
-deep for them.
+made.  ``normalize``, ``is_normal``, ``eval_term``, the equality test
+of a repeated pattern variable and ``TOp``'s ``==`` run on explicit
+stacks; ``symbol_count``, ``free_indices``, the rule plans and ``TOp``'s
+``hash`` and pickling read one postfix node list (``_postfix``), and
+``repr`` is the syntax trees' explicit-stack writer
+(``ast.write_repr``): no term is too deep for them.
 
 ``TVar``, ``TOp``, ``Model`` and ``RewriteRule`` share one small frozen
 base instead of being dataclasses, so loading the engine does not load
@@ -38,7 +40,7 @@ from __future__ import annotations
 from operator import attrgetter, is_not
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
-from .ast import Term, Var, spine
+from .ast import Term, Var, spine, write_repr
 from .theory import Axiom, EqTheory, ShapeError, _check_axiom_term, associativity_op
 
 
@@ -85,8 +87,7 @@ class _Frozen:
         return hash(self._key(self))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
-        return f"{type(self).__qualname__}({fields})"
+        return write_repr(self, _Frozen, "_fields")
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -106,9 +107,9 @@ class TVar(_Frozen):
 
 
 class TOp(_Frozen):
-    """An operation symbol applied to a tuple of terms.  ``==``, ``hash``,
-    ``repr`` and pickling give what the frozen-dataclass contract gives,
-    but walk explicit stacks, so no depth of nesting raises
+    """An operation symbol applied to a tuple of terms.  ``==``, ``hash``
+    and pickling give what the frozen-dataclass contract gives, but walk
+    explicit stacks, as ``repr`` does, so no depth of nesting raises
     ``RecursionError``; a term pickles as its postfix node sequence."""
 
     __slots__ = _fields = ("sym", "args")
@@ -126,25 +127,6 @@ class TOp(_Frozen):
         # hash((sym, args)), bottom-up: in the tuples hashed, an argument's
         # hash stands in for the argument
         return hash(_fold(_postfix(self), lambda sym, args: _Hashed(hash((sym, args)))))
-
-    def __repr__(self) -> str:
-        out: list[str] = []
-        todo: list = [self]
-        while todo:
-            t = todo.pop()
-            if type(t) is str:
-                out.append(t)
-            elif isinstance(t, TOp):
-                args = t.args
-                out.append(f"{type(t).__qualname__}(sym={t.sym!r}, args=(")
-                todo.append(",))" if len(args) == 1 else "))")
-                for i in range(len(args) - 1, -1, -1):
-                    todo.append(args[i])
-                    if i:
-                        todo.append(", ")
-            else:
-                out.append(repr(t))
-        return "".join(out)
 
     def __reduce__(self) -> tuple:
         return _from_postfix, (_postfix(self),)
@@ -215,26 +197,11 @@ Env = Sequence[Any]
 
 def symbol_count(t: OpenTerm) -> int:
     """Total node count: operation symbols plus variable occurrences."""
-    count = 0
-    todo = [t]
-    while todo:
-        t = todo.pop()
-        count += 1
-        if type(t) is not TVar:
-            todo.extend(t.args)
-    return count
+    return len(_postfix(t))
 
 
 def free_indices(t: OpenTerm) -> set[int]:
-    out: set[int] = set()
-    todo = [t]
-    while todo:
-        t = todo.pop()
-        if type(t) is TVar:
-            out.add(t.index)
-        else:
-            todo.extend(t.args)
-    return out
+    return {x.index for x in _postfix(t) if type(x) is TVar}
 
 
 def term_from_axiom_side(side: Term, var_index: Mapping[str, int]) -> OpenTerm:
@@ -511,20 +478,8 @@ def _plan_rhs(rhs: OpenTerm) -> tuple[tuple[int, ...], tuple, bool]:
     before the first node, whose values go straight to the results; the
     rest reversed, ready for the job stack; and whether that rest holds a
     variable."""
-    post: list = []
-    todo: list = [rhs]
-    while todo:
-        r = todo.pop()
-        if type(r) is tuple:
-            post.append(r)
-        elif type(r) is TVar:
-            post.append(r.index)
-        else:
-            todo.append((_BUILD, r.sym, len(r.args)))
-            todo.extend(r.args[::-1])
-    lead = 0
-    while lead < len(post) and type(post[lead]) is int:
-        lead += 1
+    post = [x.index if type(x) is TVar else (_BUILD, *x) for x in _postfix(rhs)]
+    lead = next((i for i, x in enumerate(post) if type(x) is tuple), len(post))
     rest = post[lead:]
     return tuple(post[:lead]), tuple(rest[::-1]), any(type(x) is int for x in rest)
 

@@ -36,6 +36,7 @@ from .ast import (
     arity,
     arrow_chain,
     decl_member_names,
+    default_constructor,
     map_names,
 )
 from .theory import (
@@ -250,7 +251,7 @@ def _hom_record(t: EqTheory, kind: GenKind, names: NameSupply | None, prefixed: 
     prefix = prefix if prefixed else ""
     names = _supply(t, names)
     name = names.fresh(t.name + suffix)
-    constructor = names.fresh(name + "C")
+    constructor = names.fresh(default_constructor(name))
     hom_name = names.fresh(prefix + "hom")
     pres_names = [names.fresh(f"{prefix}pres-{f.name}") for f in t.func_types]
     injective_name = names.fresh("injective") if injective else ""

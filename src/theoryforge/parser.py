@@ -56,6 +56,7 @@ from .ast import (
     TyApp,
     TypeExpr,
     Var,
+    default_constructor,
 )
 from .lexer import (
     ARROW,
@@ -163,7 +164,7 @@ class Parser:
 
     def _parse_record(self) -> RecordDecl:
         start, name, params = self._parse_header("record")
-        ctor_name = name.value + "C"
+        ctor_name = default_constructor(name.value)
         tok = self._peek()
         if tok.kind == KEYWORD and tok.value == "constructor":
             self._advance()

@@ -40,6 +40,7 @@ from .ast import (
     Var,
     arity,
     arrow_components,
+    default_constructor,
     map_names,
     spine,
 )
@@ -322,13 +323,13 @@ def rename(t: EqTheory, scheme: RenameScheme) -> EqTheory:
 def embed(t: EqTheory) -> RecordDecl:
     """Write the theory back as a record: the first ``waist`` telescope
     entries become parameters, the rest fields; the constructor is the
-    theory name plus ``C``."""
+    default for the theory's name (``ast.default_constructor``)."""
     telescope: list[Constr] = [t.sort] + t.func_types + [a.to_constr() for a in t.axioms]
     if not 0 <= t.waist <= len(telescope):
         raise ShapeError(f"{t.name}: waist {t.waist} out of range 0..{len(telescope)}")
     params = [Binder([c.name], c.ty, hidden=False, pos=c.pos) for c in telescope[: t.waist]]
     fields = telescope[t.waist:]
-    return RecordDecl(t.name, params, t.name + "C", list(fields))
+    return RecordDecl(t.name, params, default_constructor(t.name), list(fields))
 
 
 __all__ = [

@@ -26,6 +26,7 @@ from theoryforge.ast import (
     Var,
     apply_spine,
     arrow_chain,
+    write_repr,
 )
 from theoryforge.checker import CheckError
 from theoryforge.parser import parse_decl
@@ -197,7 +198,7 @@ def test_repr_lists_every_field_in_constructor_order():
     )
 
 
-# -- == against a recursive reference -------------------------------------------------
+# -- == and repr against recursive references ------------------------------------------
 
 def _reference_eq(a, b) -> bool:
     """Field-by-field equality, written recursively: what ``==`` must give."""
@@ -303,3 +304,29 @@ def test_a_copy_is_equal_until_any_one_field_changes(structures, data):
         _assert_equality_as_the_reference(a, _copy(a, countdown))
         if countdown[0] > 0:
             break
+
+
+def _reference_repr(x) -> str:
+    """``repr`` written recursively: every field of a structure, lists and
+    tuples as Python spells them."""
+    if isinstance(x, Structure):
+        fields = ", ".join(f"{f}={_reference_repr(getattr(x, f))}" for f in x.__slots__)
+        return f"{type(x).__qualname__}({fields})"
+    if type(x) is list:
+        return "[" + ", ".join(map(_reference_repr, x)) + "]"
+    if type(x) is tuple:
+        inner = ", ".join(map(_reference_repr, x))
+        return f"({inner},)" if len(x) == 1 else f"({inner})"
+    return repr(x)
+
+
+@given(STRUCTURES)
+def test_repr_agrees_with_the_recursive_reference(a):
+    assert repr(a) == _reference_repr(a)
+
+
+@settings(max_examples=30)
+@given(st.lists(STRUCTURES | st.integers() | st.text(max_size=2) | st.none(), max_size=3), st.booleans())
+def test_the_repr_writer_spells_lists_and_tuples_as_python_does(items, as_tuple):
+    x = tuple(items) if as_tuple else items
+    assert write_repr(x, Structure, "__slots__") == _reference_repr(x) == repr(x)

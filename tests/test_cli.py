@@ -354,6 +354,51 @@ def test_lib_rejects_jobs_below_one(workdir, capsys):
     assert not (workdir / "a").exists()
 
 
+def _exit_code(argv: list[str]) -> int:
+    """The code ``theoryforge`` exits with: what ``main`` returns, or the
+    code of the ``SystemExit`` that argparse raises."""
+    try:
+        return main(argv)
+    except SystemExit as e:
+        return e.code
+
+
+# command lines refused before any input is read, exit 3: argparse's usage
+# text and message (the last line begins with the message), or the one
+# line of ``build_config``
+REFUSED = {
+    "jobs not an integer": (
+        ["gen", "monoid.eqt", "--jobs", "abc"],
+        True,
+        "theoryforge gen: error: argument --jobs: invalid int value: 'abc'",
+    ),
+    "unknown subcommand": (["frob"], True, "theoryforge: error: argument command: invalid choice: 'frob'"),
+    "check without a file": (["check"], True, "theoryforge check: error: the following arguments are required: files"),
+    "no subcommand": ([], True, "theoryforge: error: the following arguments are required: command"),
+    "unknown flag": (["lib", "x.lib", "--frob"], True, "theoryforge: error: unrecognized arguments: --frob"),
+    "jobs below one": (["gen", "monoid.eqt", "--jobs", "0"], False, "--jobs must be at least 1"),
+    "unknown construction": (["gen", "monoid.eqt", "--constructions", "bogus"], False, "unknown construction 'bogus'"),
+}
+
+
+@pytest.mark.parametrize("argv, usage, message", REFUSED.values(), ids=list(REFUSED))
+def test_a_refused_command_line_exits_three(workdir, capsys, argv, usage, message):
+    copy_fixture("monoid.eqt", workdir)
+    assert _exit_code(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert lines[0].startswith("usage: theoryforge") is usage
+    assert lines[-1].startswith(message) and len(lines) >= 1 + usage
+    assert not (workdir / "generated").exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["gen", "--help"]], ids=["theoryforge", "gen"])
+def test_help_exits_zero(workdir, capsys, argv):
+    assert _exit_code(argv) == 0
+    assert capsys.readouterr().out.startswith("usage: theoryforge")
+
+
 def test_lib_expansion_failure_names_entry(workdir, capsys):
     lib = workdir / "bad.lib"
     lib.write_text(
@@ -723,6 +768,17 @@ def test_module_entry_point_runs(tmp_path):
         cwd=Path(theoryforge.__file__).parents[1],
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_a_refused_command_line_exits_three_from_the_process(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "theoryforge", "frob"],
+        capture_output=True,
+        text=True,
+        cwd=Path(theoryforge.__file__).parents[1],
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == "" and proc.stderr.startswith("usage: theoryforge")
 
 
 def _heavy_modules_around_a_run(lib: Path, out: Path, jobs: str) -> list[str]:

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import itertools
 import pickle
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from theoryforge.engine import (
@@ -18,6 +19,7 @@ from theoryforge.engine import (
     default_fuel,
     enumerate_terms,
     eval_term,
+    free_indices,
     is_normal,
     normalize,
     orient,
@@ -25,6 +27,7 @@ from theoryforge.engine import (
     symbol_count,
 )
 from theoryforge.ast import App, Arrow, Binder, Constr, Equation, Quant, RecordDecl, SetKind, SortRef, Sym, Var
+from theoryforge.engine import _BUILD
 from theoryforge.parser import parse_decl
 from theoryforge.theory import Axiom, ShapeError, extract
 
@@ -409,6 +412,91 @@ def test_deep_terms_compare_hash_print_and_pickle_without_recursion():
     assert text.count("TVar(") == 3000
     same = pickle.loads(pickle.dumps(a))
     assert same == a and same is not a and hash(same) == hash(a)
+
+
+# -- term walks and repr against recursive references -----------------------------------
+
+def _reference_symbol_count(t) -> int:
+    return 1 if isinstance(t, TVar) else 1 + sum(map(_reference_symbol_count, t.args))
+
+
+def _reference_free_indices(t) -> set[int]:
+    return {t.index} if isinstance(t, TVar) else set().union(*map(_reference_free_indices, t.args))
+
+
+def _reference_postfix(t) -> list:
+    """Variables as their index, and each node as a build marker after its
+    arguments."""
+    if isinstance(t, TVar):
+        return [t.index]
+    return [x for a in t.args for x in _reference_postfix(a)] + [(_BUILD, t.sym, len(t.args))]
+
+
+def _reference_plan(rhs) -> tuple:
+    """A rule's plan as its docstring states it: the variables before the
+    first node, the rest reversed, and whether that rest holds a variable."""
+    post = _reference_postfix(rhs)
+    lead = len(list(itertools.takewhile(lambda x: type(x) is int, post)))
+    rest = post[lead:]
+    return tuple(post[:lead]), tuple(reversed(rest)), any(type(x) is int for x in rest)
+
+
+REPR_FIELDS = {TVar: ("index",), TOp: ("sym", "args"), RewriteRule: ("var_count", "lhs", "rhs", "source_axiom")}
+
+
+def _reference_repr(x) -> str:
+    """What a frozen dataclass's ``repr`` gives, written recursively."""
+    if type(x) in REPR_FIELDS:
+        fields = ", ".join(f"{f}={_reference_repr(getattr(x, f))}" for f in REPR_FIELDS[type(x)])
+        return f"{type(x).__qualname__}({fields})"
+    if type(x) is tuple:
+        inner = ", ".join(map(_reference_repr, x))
+        return f"({inner},)" if len(x) == 1 else f"({inner})"
+    return repr(x)
+
+
+WALK_ARITIES = {"e": 0, "inv": 1, "op": 2, "f": 3}
+
+
+@settings(max_examples=50)
+@given(st.data())
+def test_term_walks_plans_and_repr_agree_with_the_recursive_references(data):
+    t = data.draw(_terms(WALK_ARITIES, 5), label="term")
+    u = data.draw(_terms(WALK_ARITIES, 3), label="other side")
+    assert symbol_count(t) == _reference_symbol_count(t)
+    assert free_indices(t) == _reference_free_indices(t)
+    assert repr(t) == _reference_repr(t)
+    # a rule plans its right-hand side whatever its left-hand side
+    rule = RewriteRule(3, TOp("op", (u, t)), t, "ax")
+    assert rule.plan == _reference_plan(t)
+    assert repr(rule) == _reference_repr(rule)
+
+
+def _right_comb(leaves):
+    comb = TVar((leaves - 1) % 3)
+    for i in range(leaves - 2, -1, -1):
+        comb = op(TVar(i % 3), comb)
+    return comb
+
+
+def test_term_walks_plans_and_repr_of_3000_deep_combs_need_no_recursion():
+    left, right = _left_comb(3000), _right_comb(3000)
+    marker = (_BUILD, "op", 2)
+    for comb in (left, right):
+        assert symbol_count(comb) == 5999
+        assert free_indices(comb) == {0, 1, 2}
+    rule = RewriteRule(3, left, right, "deep")
+    # a right comb's postfix order is its 3000 variables, then its 2999 nodes
+    assert rule.plan == (tuple(i % 3 for i in range(3000)), (marker,) * 2999, False)
+    # a left comb's is two variables, then a node after each further one
+    lead, rest, rest_vars = RewriteRule(3, right, left, "deep").plan
+    assert lead == (0, 1) and rest_vars
+    assert rest == tuple(x for i in range(2998, 0, -1) for x in (marker, (i + 1) % 3)) + (marker,)
+    text = repr(rule)
+    assert text.startswith("RewriteRule(var_count=3, lhs=" + "TOp(sym='op', args=(" * 2999 + "TVar(index=0), ")
+    assert ", rhs=TOp(sym='op', args=(TVar(index=0), TOp(sym='op', args=(TVar(index=1), " in text
+    assert text.endswith("TVar(index=2)" + "))" * 2999 + ", source_axiom='deep')")
+    assert text.count("TVar(") == 6000 and text.count("(") == text.count(")")
 
 
 # -- the skeleton rebuild against the full re-normalization it replaced ----------------
