@@ -11,17 +11,16 @@ differently laid-out text compare equal when they have the same structure.
 
 Nodes and declarations are plain slotted classes built through their
 constructors (``dataclasses.replace`` does not apply to them).  They share
-one base, :class:`Structure`, whose ``==`` compares every field except
-``pos``: one loop over an explicit stack, driven by each class's
-``_split``, so comparing trees of any depth never raises
-``RecursionError``.  They are mutable and unhashable, and their ``repr``
-lists every field, ``pos`` included; it walks an explicit stack too.
+one base, :class:`Structure`, whose ``==`` compares every slot but ``pos``:
+one loop over an explicit stack, so comparing trees of any depth never
+raises ``RecursionError``.  They are mutable and unhashable, and their
+``repr`` lists every slot, ``pos`` included; it walks an explicit stack too.
 """
 
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Any, Mapping, Sequence, TypeAlias, TypeVar, Union
+from typing import Any, Container, Mapping, TypeAlias, TypeVar, Union
 
 Pos: TypeAlias = "tuple[int, int]"
 
@@ -33,13 +32,13 @@ RESERVED_WORDS = frozenset({"record", "data", "field", "where", "constructor", "
 class Structure:
     """Base of the syntax-tree, declaration and theory classes.
 
-    ``==`` holds between two instances of one class whose fields other than
-    ``pos`` are equal; another class gives ``NotImplemented``.  Each class
-    says what it compares through ``_split``: the fields compared with
-    plain ``==`` (with the length of every list of children), and the
-    children.  The two structures are walked side by side on an explicit
-    stack of pairs.  ``repr`` (:func:`write_repr`) lists the ``__slots__``
-    in order, which is the constructor's order.
+    ``==`` holds between two instances of one class whose slots other than
+    ``pos`` are equal; another class gives ``NotImplemented``.  The two
+    structures are walked side by side on an explicit stack of pairs: two
+    structures of one class push their slots but ``pos``, two lists of one
+    length their items, and anything else is compared with ``!=``.  A
+    class lists its fields once, in ``__slots__``, in the constructor's
+    order; ``repr`` (:func:`write_repr`) reads them too.
     """
 
     __slots__ = ()
@@ -56,12 +55,18 @@ class Structure:
                 continue
             if a.__class__ is not b.__class__:
                 return False
-            values, kids = a._split()
-            other_values, other_kids = b._split()
-            if values != other_values:
+            if isinstance(a, Structure):
+                for f in a.__slots__:
+                    if f != "pos":
+                        left.append(getattr(a, f))
+                        right.append(getattr(b, f))
+            elif a.__class__ is list:
+                if len(a) != len(b):
+                    return False
+                left += a
+                right += b
+            elif a != b:
                 return False
-            left += kids
-            right += other_kids
         return True
 
     def __repr__(self) -> str:
@@ -111,9 +116,6 @@ class _Named(Structure):
         self.name = name
         self.pos = pos
 
-    def _split(self) -> tuple[Any, Sequence[Any]]:
-        return self.name, ()
-
 
 # -- terms -------------------------------------------------------------------
 
@@ -136,9 +138,6 @@ class App(Structure):
         self.fn = fn
         self.arg = arg
         self.pos = pos
-
-    def _split(self) -> tuple[Any, Sequence[Any]]:
-        return None, (self.fn, self.arg)
 
 
 Term: TypeAlias = Union[Var, Sym, App]
@@ -171,9 +170,6 @@ class SetKind(Structure):
     def __init__(self, pos: Pos | None = None):
         self.pos = pos
 
-    def _split(self) -> tuple[Any, Sequence[Any]]:
-        return None, ()
-
 
 class SortRef(_Named):
     __slots__ = ("name", "pos")
@@ -187,9 +183,6 @@ class TyApp(Structure):
         self.args = args
         self.pos = pos
 
-    def _split(self) -> tuple[Any, Sequence[Any]]:
-        return (self.head, len(self.args)), self.args
-
 
 class Arrow(Structure):
     __slots__ = ("dom", "cod", "pos")
@@ -198,9 +191,6 @@ class Arrow(Structure):
         self.dom = dom
         self.cod = cod
         self.pos = pos
-
-    def _split(self) -> tuple[Any, Sequence[Any]]:
-        return None, (self.dom, self.cod)
 
 
 class Binder(Structure):
@@ -214,9 +204,6 @@ class Binder(Structure):
         self.hidden = hidden
         self.pos = pos
 
-    def _split(self) -> tuple[Any, Sequence[Any]]:
-        return (self.names, self.hidden), (self.ty,)
-
 
 class Quant(Structure):
     __slots__ = ("binders", "body", "pos")
@@ -226,9 +213,6 @@ class Quant(Structure):
         self.body = body
         self.pos = pos
 
-    def _split(self) -> tuple[Any, Sequence[Any]]:
-        return len(self.binders), (*self.binders, self.body)
-
 
 class Equation(Structure):
     __slots__ = ("lhs", "rhs", "pos")
@@ -237,9 +221,6 @@ class Equation(Structure):
         self.lhs = lhs
         self.rhs = rhs
         self.pos = pos
-
-    def _split(self) -> tuple[Any, Sequence[Any]]:
-        return None, (self.lhs, self.rhs)
 
 
 TypeExpr: TypeAlias = Union[SetKind, SortRef, TyApp, Arrow, Quant, Equation]
@@ -348,9 +329,6 @@ class Constr(Structure):
         self.ty = ty
         self.pos = pos
 
-    def _split(self) -> tuple[Any, Sequence[Any]]:
-        return self.name, (self.ty,)
-
 
 class RecordDecl(Structure):
     __slots__ = ("name", "params", "constructor_name", "fields", "pos")
@@ -369,10 +347,6 @@ class RecordDecl(Structure):
         self.fields = fields
         self.pos = pos
 
-    def _split(self) -> tuple[Any, Sequence[Any]]:
-        values = (self.name, self.constructor_name, len(self.params), len(self.fields))
-        return values, (*self.params, *self.fields)
-
 
 class DataDecl(Structure):
     __slots__ = ("name", "params", "constructors", "pos")
@@ -383,16 +357,17 @@ class DataDecl(Structure):
         self.constructors = constructors
         self.pos = pos
 
-    def _split(self) -> tuple[Any, Sequence[Any]]:
-        return (self.name, len(self.params), len(self.constructors)), (*self.params, *self.constructors)
-
 
 Decl: TypeAlias = Union[RecordDecl, DataDecl]
 
 
-def default_constructor(name: str) -> str:
-    """The constructor name of a record that declares none."""
-    return name + "C"
+def default_constructor(name: str, taken: Container[str] = ()) -> str:
+    """The constructor name of a record that declares none: ``<name>C``,
+    primed until it is not in ``taken``."""
+    constructor = name + "C"
+    while constructor in taken:
+        constructor += "'"
+    return constructor
 
 
 def decl_member_names(d: Decl) -> list[str]:

@@ -70,16 +70,10 @@ def _same_sort(a: TypeExpr, b: TypeExpr) -> bool:
     return a == b
 
 
-class _RecordInfo:
-    def __init__(self, params: list[tuple[str, TypeExpr]], fields: dict[str, TypeExpr]):
-        self.params = params
-        self.fields = fields
-
-    @property
-    def sort_index(self) -> int | None:
-        """Index of the unique Set-typed parameter, if there is exactly one."""
-        hits = [i for i, (_, ty) in enumerate(self.params) if isinstance(ty, SetKind)]
-        return hits[0] if len(hits) == 1 else None
+class _RecordInfo(NamedTuple):
+    params: list[tuple[str, TypeExpr]]
+    fields: dict[str, TypeExpr]
+    sort_index: int | None  # of the unique Set-typed parameter, if there is exactly one
 
 
 class CheckContext:
@@ -99,7 +93,8 @@ class CheckContext:
         params = [(n, b.ty) for b in d.params for n in b.names]
         self.type_arity.setdefault(d.name, len(params))
         if isinstance(d, RecordDecl):
-            info = _RecordInfo(params, {f.name: f.ty for f in d.fields})
+            sorts = [i for i, (_, ty) in enumerate(params) if isinstance(ty, SetKind)]
+            info = _RecordInfo(params, {f.name: f.ty for f in d.fields}, sorts[0] if len(sorts) == 1 else None)
             self.records.setdefault(d.name, info)
             for f in d.fields:
                 self.field_owner.setdefault(f.name, d.name)

@@ -119,7 +119,7 @@ def _read_config_file(path: Path) -> dict[str, str]:
     if not path.is_file():
         return {}
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as e:
         raise ValueError(f"{path}: {e}") from None
     values: dict[str, str] = {}
@@ -196,11 +196,6 @@ class TheoryOutput(NamedTuple):
     name: str
     files: dict[str, str]
     module_text: str
-
-    @property
-    def definition_count(self) -> int:
-        # the input theory plus one definition per construction
-        return 1 + len(self.files)
 
 
 class TheoryRecord(NamedTuple):
@@ -279,7 +274,8 @@ def _run_theory(t: EqTheory, decl: Decl | None, cfg: RunConfig) -> TheoryRecord:
             _write_output(out, cfg.out_dir)
         except OSError as e:
             raise GenError(f"cannot write to {cfg.out_dir}: {e}") from e
-    return TheoryRecord(out.definition_count, out.module_text.count("\n"), check_lines)
+    # the input theory plus one definition per construction
+    return TheoryRecord(1 + len(out.files), out.module_text.count("\n"), check_lines)
 
 
 def _run_share(
@@ -392,17 +388,19 @@ def _process_count(jobs: int | None, theories: int) -> int:
 
 
 def _generate_batch(
-    theories: list[tuple[EqTheory, Decl | None]], cfg: RunConfig
+    path: Path, theories: list[tuple[EqTheory, Decl | None]], cfg: RunConfig
 ) -> tuple[list[TheoryRecord], int]:
-    """Generate, check, and write a list of theories on up to
-    :func:`_process_count` processes.  Returns one record per theory, in
-    theory order, and a process exit code; raises the :class:`GenError` of
-    the first theory that failed, as a serial run would."""
+    """Generate, check, and write a list of theories read from ``path`` on
+    up to :func:`_process_count` processes.  Returns one record per theory,
+    in theory order, and a process exit code.  A :class:`GenError` is
+    reported as a serial run would report it: the first failing theory's
+    message on one stderr line, no records, and ``EXIT_GEN``."""
     n = _process_count(cfg.jobs, len(theories))
     shares = _run_shares(partial(_run_share, theories, cfg), n)
     failures = [failure for _, failure in shares if failure is not None]
     if failures:
-        raise GenError(min(failures)[1])
+        print(f"{path}: {min(failures)[1]}", file=sys.stderr)
+        return [], EXIT_GEN
     records = [shares[i % n][0][i // n] for i in range(len(theories))]
 
     check_lines = [line for record in records for line in record.check_lines]
@@ -415,7 +413,7 @@ def _generate_batch(
 # -- subcommands -------------------------------------------------------------------
 
 def _read_decls(path: Path) -> list[Decl]:
-    return parse_file(path.read_text(encoding="utf-8"))
+    return parse_file(path.read_text(encoding="utf-8-sig"))
 
 
 def _load(load: Callable[[Path], Any], path: Path) -> tuple[Any, int]:
@@ -463,12 +461,7 @@ def cmd_gen(path: Path, cfg: RunConfig) -> int:
         except ShapeError as e:
             print(f"{path}: {d.name}: {e}", file=sys.stderr)
             return EXIT_GEN
-    try:
-        _, code = _generate_batch(theories, cfg)
-    except GenError as e:
-        print(f"{path}: {e}", file=sys.stderr)
-        return EXIT_GEN
-    return code
+    return _generate_batch(path, theories, cfg)[1]
 
 
 def cmd_lib(path: Path, cfg: RunConfig) -> int:
@@ -477,11 +470,7 @@ def cmd_lib(path: Path, cfg: RunConfig) -> int:
         return code
 
     theories: list[tuple[EqTheory, Decl | None]] = [(t, None) for t in library.theories()]
-    try:
-        records, code = _generate_batch(theories, cfg)
-    except GenError as e:
-        print(f"{path}: {e}", file=sys.stderr)
-        return EXIT_GEN
+    records, code = _generate_batch(path, theories, cfg)
     if code != EXIT_OK:
         return code
     definitions = sum(record.definitions for record in records)
@@ -505,14 +494,15 @@ class _ArgumentParser(argparse.ArgumentParser):
 def _add_gen_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--constructions",
-        help="comma-separated constructions: sig,prod,termlang,open-termlang,hom,mono,endo",
+        help="comma-separated constructions: " + ",".join(k.value for k in GenKind),
     )
     sub.add_argument("--out", help="output directory (default: generated)")
+    *first, last = (k.value for k in DEFAULT_SUFFIXES)
     sub.add_argument(
         "--suffix",
         action="append",
         metavar="KIND=STR",
-        help="override the renaming suffix of sig, prod, termlang or open-termlang, e.g. --suffix sig=Sg",
+        help=f"override the renaming suffix of {', '.join(first)} or {last}, e.g. --suffix {first[0]}=Sg",
     )
     sub.add_argument(
         "--jobs",

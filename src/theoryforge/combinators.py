@@ -248,7 +248,7 @@ def parse_library(source: str) -> list[TheoryExpr]:
 
 
 def load_library(path: Path | str) -> Library:
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8-sig")
     return expand_library(parse_library(text))
 
 

@@ -333,26 +333,21 @@ def _orientable(lhs: OpenTerm, rhs: OpenTerm) -> bool:
     )
 
 
-def axiom_sides(ax: Axiom, arities: Mapping[str, int]) -> tuple[int, OpenTerm, OpenTerm]:
-    """Validate both sides of an axiom against ``arities`` and convert them;
-    raises :class:`ArityError` on a side that does not fit."""
+def orient(ax: Axiom, arities: Mapping[str, int]) -> RewriteRule | None:
+    """Turn an equation into a terminating rewrite rule if either direction
+    passes the containment and strict-decrease tests; ``None`` otherwise.
+    Raises :class:`ArityError` on a side that does not fit ``arities``."""
     index = {name: i for i, name in enumerate(ax.var_names)}
     for side, t in (("left side", ax.lhs), ("right side", ax.rhs)):
         try:
             _check_axiom_term(t, index, arities, f"axiom {ax.name!r}, {side}")
         except ShapeError as e:
             raise ArityError(str(e)) from e
-    return len(index), term_from_axiom_side(ax.lhs, index), term_from_axiom_side(ax.rhs, index)
-
-
-def orient(ax: Axiom, arities: Mapping[str, int]) -> RewriteRule | None:
-    """Turn an equation into a terminating rewrite rule if either direction
-    passes the containment and strict-decrease tests; ``None`` otherwise."""
-    var_count, lhs, rhs = axiom_sides(ax, arities)
+    lhs, rhs = term_from_axiom_side(ax.lhs, index), term_from_axiom_side(ax.rhs, index)
     if _orientable(lhs, rhs):
-        return RewriteRule(var_count, lhs, rhs, ax.name)  # type: ignore[arg-type]
+        return RewriteRule(len(index), lhs, rhs, ax.name)  # type: ignore[arg-type]
     if _orientable(rhs, lhs):
-        return RewriteRule(var_count, rhs, lhs, ax.name)  # type: ignore[arg-type]
+        return RewriteRule(len(index), rhs, lhs, ax.name)  # type: ignore[arg-type]
     return None
 
 
@@ -633,7 +628,6 @@ __all__ = [
     "TOp",
     "TVar",
     "assoc_rule",
-    "axiom_sides",
     "default_fuel",
     "enumerate_terms",
     "eval_term",

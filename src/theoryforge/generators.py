@@ -148,7 +148,9 @@ def _record(t: EqTheory, names: NameSupply) -> RecordDecl:
 
 # -- signature ------------------------------------------------------------------
 
-def gen_signature(t: EqTheory, suffix: str = "S", names: NameSupply | None = None) -> EqTheory:
+def gen_signature(
+    t: EqTheory, suffix: str = DEFAULT_SUFFIXES[GenKind.SIGNATURE], names: NameSupply | None = None
+) -> EqTheory:
     """The axiom-free part of the theory, with members suffixed so the
     result can share a module with its source."""
     names = _supply(t, names)
@@ -159,7 +161,9 @@ def gen_signature(t: EqTheory, suffix: str = "S", names: NameSupply | None = Non
 
 # -- product algebra ---------------------------------------------------------------
 
-def gen_product(t: EqTheory, suffix: str = "P", names: NameSupply | None = None) -> EqTheory:
+def gen_product(
+    t: EqTheory, suffix: str = DEFAULT_SUFFIXES[GenKind.PRODUCT], names: NameSupply | None = None
+) -> EqTheory:
     """The theory over the binary product of the carrier: every occurrence
     of the sort becomes ``Prod s s``, axiom binders become explicit (one per
     variable, variables suffixed), and a recognised associativity axiom is
@@ -208,7 +212,9 @@ def _term_constructors(t: EqTheory, lang: str, suffix: str, names: NameSupply) -
     ]
 
 
-def gen_termlang(t: EqTheory, suffix: str = "L", names: NameSupply | None = None) -> DataDecl:
+def gen_termlang(
+    t: EqTheory, suffix: str = DEFAULT_SUFFIXES[GenKind.TERM_LANG], names: NameSupply | None = None
+) -> DataDecl:
     """The closed term language: one constructor per function symbol with
     the same arity, axioms dropped, no parameters."""
     names = _supply(t, names)
@@ -216,7 +222,9 @@ def gen_termlang(t: EqTheory, suffix: str = "L", names: NameSupply | None = None
     return DataDecl(lang, [], _term_constructors(t, lang, suffix, names))
 
 
-def gen_open_termlang(t: EqTheory, suffix: str = "OL", names: NameSupply | None = None) -> DataDecl:
+def gen_open_termlang(
+    t: EqTheory, suffix: str = DEFAULT_SUFFIXES[GenKind.OPEN_TERM_LANG], names: NameSupply | None = None
+) -> DataDecl:
     """The term language extended with variables drawn from a parameter
     type ``V``, via a constructor ``v : V -> <name>OpenLang``."""
     names = _supply(t, names)

@@ -20,7 +20,7 @@ binder groups, and comes back grouped that way.
 from __future__ import annotations
 
 from collections.abc import Container, Mapping
-from typing import Any, NamedTuple, Sequence
+from typing import NamedTuple
 
 from .ast import (
     App,
@@ -64,9 +64,6 @@ class Axiom(Structure):
         self.rhs = rhs
         self.pos = pos
 
-    def _split(self) -> tuple[Any, Sequence[Any]]:
-        return (self.name, len(self.binders)), (*self.binders, self.lhs, self.rhs)
-
     @property
     def vars(self) -> list[tuple[str, TypeExpr]]:
         """Quantified variables flattened in binding order."""
@@ -91,10 +88,6 @@ class EqTheory(Structure):
         self.func_types = func_types
         self.axioms = axioms
         self.waist = waist
-
-    def _split(self) -> tuple[Any, Sequence[Any]]:
-        values = (self.name, self.waist, len(self.func_types), len(self.axioms))
-        return values, (self.sort, *self.func_types, *self.axioms)
 
     @property
     def arities(self) -> dict[str, int]:
@@ -323,13 +316,15 @@ def rename(t: EqTheory, scheme: RenameScheme) -> EqTheory:
 def embed(t: EqTheory) -> RecordDecl:
     """Write the theory back as a record: the first ``waist`` telescope
     entries become parameters, the rest fields; the constructor is the
-    default for the theory's name (``ast.default_constructor``)."""
+    default for the theory's name (``ast.default_constructor``), primed
+    past every name of the telescope."""
     telescope: list[Constr] = [t.sort] + t.func_types + [a.to_constr() for a in t.axioms]
     if not 0 <= t.waist <= len(telescope):
         raise ShapeError(f"{t.name}: waist {t.waist} out of range 0..{len(telescope)}")
     params = [Binder([c.name], c.ty, hidden=False, pos=c.pos) for c in telescope[: t.waist]]
     fields = telescope[t.waist:]
-    return RecordDecl(t.name, params, default_constructor(t.name), list(fields))
+    constructor = default_constructor(t.name, {c.name for c in telescope})
+    return RecordDecl(t.name, params, constructor, list(fields))
 
 
 __all__ = [

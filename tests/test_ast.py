@@ -306,6 +306,47 @@ def test_a_copy_is_equal_until_any_one_field_changes(structures, data):
             break
 
 
+def _structure_classes() -> list[type]:
+    """Every class under ``Structure`` that declares a slot, found by
+    walking ``__subclasses__``, so that a class added later is covered."""
+    found, todo = [], [Structure]
+    while todo:
+        cls = todo.pop()
+        todo += cls.__subclasses__()
+        if cls.__slots__ and cls.__module__ in ("theoryforge.ast", "theoryforge.theory"):
+            found.append(cls)
+    return sorted(found, key=lambda cls: cls.__name__)
+
+
+STRUCTURE_CLASSES = _structure_classes()
+assert {Var, Sym, SortRef, RecordDecl, Axiom, EqTheory} <= set(STRUCTURE_CLASSES)
+
+# each slot holds a child structure and a plain value; every variant
+# differs from it in one of them, in its length or in its kind
+_SLOT_VALUE = [SortRef("x"), "s"]
+_OTHER_SLOT_VALUES = [[SortRef("y"), "s"], [SortRef("x"), "t"], [SortRef("x")], "s"]
+
+
+def _instance(cls: type, **slots):
+    x = cls.__new__(cls)
+    for f in cls.__slots__:
+        setattr(x, f, slots[f] if f in slots else (None if f == "pos" else list(_SLOT_VALUE)))
+    return x
+
+
+@pytest.mark.parametrize("cls", STRUCTURE_CLASSES, ids=lambda cls: cls.__name__)
+def test_every_slot_but_pos_takes_part_in_equality(cls):
+    a = _instance(cls)
+    assert a == _instance(cls)
+    for f in cls.__slots__:
+        if f == "pos":
+            assert a == _instance(cls, pos=(9, 9))
+            continue
+        for value in _OTHER_SLOT_VALUES:
+            b = _instance(cls, **{f: value})
+            assert a != b and b != a, (f, value)
+
+
 def _reference_repr(x) -> str:
     """``repr`` written recursively: every field of a structure, lists and
     tuples as Python spells them."""

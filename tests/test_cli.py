@@ -155,6 +155,39 @@ def test_config_file_that_is_not_utf8_gives_one_line(workdir, capsys):
     assert not (workdir / "generated").exists()
 
 
+# a leading byte-order mark is skipped by every reader; each file is the
+# same input without one
+BOM_INPUTS = {
+    "check": ("m.eqt", "record M (A : Set) : Set where\n  field\n    e : A\n"),
+    "gen": ("m.eqt", "record M (A : Set) : Set where\n  field\n    e : A\n"),
+    "lib": ("m.lib", "theory M = base { A : Set  e : A }\n"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(BOM_INPUTS))
+def test_input_that_starts_with_a_byte_order_mark_is_read(workdir, capsys, command):
+    name, text = BOM_INPUTS[command]
+    outputs = []
+    for i, bom in enumerate(("", "\ufeff")):
+        source = workdir / name
+        source.write_text(bom + text, encoding="utf-8")
+        flags = [] if command == "check" else ["--out", f"out{i}"]
+        assert main([command, str(source), *flags]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert outputs[1].err == ""
+    if command != "check":
+        assert tree_hash(workdir / "out0") == tree_hash(workdir / "out1")
+
+
+def test_config_file_that_starts_with_a_byte_order_mark_is_read(workdir, capsys):
+    copy_fixture("monoid.eqt", workdir)
+    (workdir / "theoryforge.cfg").write_text("\ufeffout = bomout\n", encoding="utf-8")
+    assert main(["gen", "monoid.eqt"]) == 0
+    assert capsys.readouterr().err == ""
+    assert (workdir / "bomout" / "Monoid" / "module.gen.eqt").is_file()
+
+
 # -- gen -------------------------------------------------------------------------
 
 def test_gen_writes_expected_tree(workdir):
@@ -566,6 +599,38 @@ def test_gen_gives_clean_modules_where_generated_names_would_clash(workdir, caps
     assert trees[0] == trees[1]
     captured = capsys.readouterr()
     assert captured.out == captured.err == ""
+
+
+# in each library, the last theory has a member named like its default
+# constructor, <Name>C, which the embedded record then spells <Name>C'
+CONSTRUCTOR_CLASHES = {
+    "extend": ("theory Carrier = base { A : Set }\ntheory M = extend Carrier with { MC : A }\n", "M"),
+    "base": ("theory M = base { A : Set  MC : A }\n", "M"),
+    "rename": (
+        "theory Carrier = base { A : Set }\ntheory Magma = extend Carrier with { op : A → A → A }\n"
+        "theory Q = rename Magma renaming (op to QC)\n",
+        "Q",
+    ),
+}
+
+
+@pytest.mark.parametrize("source, name", CONSTRUCTOR_CLASHES.values(), ids=list(CONSTRUCTOR_CLASHES))
+def test_lib_primes_a_default_constructor_that_a_member_takes(workdir, capsys, source, name):
+    lib = workdir / "clash.lib"
+    lib.write_text(source, encoding="utf-8")
+    assert main(["lib", str(lib), "--constructions", ALL_KINDS, "--out", "out"]) == 0
+    module = workdir / "out" / name / "module.gen.eqt"
+    assert f"\n  constructor {name}C'\n" in module.read_text(encoding="utf-8")
+    assert main(["check", str(module)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_a_record_whose_member_takes_the_default_constructor_name_fails_check(workdir, capsys):
+    # the parser keeps the plain default: only an embedded theory is primed
+    source = workdir / "m.eqt"
+    source.write_text("record M (A : Set) : Set where\n  field\n    MC : A\n", encoding="utf-8")
+    assert main(["check", str(source)]) == 2
+    assert "DuplicateField: member name 'MC' is already used" in capsys.readouterr().out
 
 
 def test_out_on_a_regular_file_fails_the_same_on_any_number_of_processes(workdir, capsys):

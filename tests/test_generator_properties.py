@@ -59,12 +59,12 @@ def _term(draw, arities: dict[str, int], variables: list[str], depth: int) -> Te
 
 
 @st.composite
-def theory_decls(draw) -> RecordDecl:
-    """A record that is an equational theory: one sort, up to four
-    operations of arity 0-3, up to three axioms, and a random split into
-    parameters and fields."""
+def theories(draw) -> EqTheory:
+    """An equational theory: one sort, up to four operations of arity 0-3,
+    up to three axioms, and a random split into parameters and fields."""
     name = draw(st.sampled_from(THEORY_NAMES))
     pool = ADVERSARIAL + [f"{name[:2]}1", f"{name[:2]}2", f"{name}1", name + "Sig", name + "HomC"]
+    pool += [name + "C", name + "C'"]  # the default constructor name, and its primed form
     sort = draw(st.sampled_from(pool))
     ops = draw(st.lists(st.sampled_from([n for n in pool if n != sort]), unique=True, max_size=4))
     arities = {f: draw(st.integers(0, 3)) for f in ops}
@@ -87,7 +87,14 @@ def theory_decls(draw) -> RecordDecl:
         axioms.append(Axiom(ax_name, binders, lhs, rhs))
     funcs = [Constr(f, arrow_chain([SortRef(sort)] * (n + 1))) for f, n in arities.items()]
     waist = draw(st.integers(1, 1 + len(funcs)))
-    decl = embed(EqTheory(name, Constr(sort, SetKind()), funcs, axioms, waist))
+    return EqTheory(name, Constr(sort, SetKind()), funcs, axioms, waist)
+
+
+@st.composite
+def theory_decls(draw) -> RecordDecl:
+    """A record that is an equational theory, with a constructor name that
+    may clash with the names the constructions add."""
+    decl = embed(draw(theories()))
     decl.constructor_name = draw(st.sampled_from([decl.constructor_name, "hom", "fst", "v", "prodC"]))
     assume(check_module([decl]) == [])
     return decl
@@ -101,6 +108,12 @@ def module(decl: RecordDecl, t: EqTheory, kinds: list[GenKind]) -> list[Decl]:
     if GenKind.PRODUCT in kinds:
         head.append(prod_decl(names))
     return head + gen_all(t, kinds, names=names)
+
+
+@given(theories())
+def test_every_embedded_theory_checks_clean(t):
+    # a member may be named like the default constructor, which is then primed
+    assert check_module([embed(t)]) == [], print_decl(embed(t))
 
 
 @given(theory_decls())
