@@ -81,6 +81,7 @@ class CheckContext:
 
     def __init__(self) -> None:
         self.type_arity: dict[str, int] = {}
+        self.type_params: dict[str, list[tuple[str, TypeExpr]]] = {}
         self.records: dict[str, _RecordInfo] = {}
         self.field_owner: dict[str, str] = {}
         self.data_ctors: dict[str, tuple[str, TypeExpr]] = {}
@@ -92,6 +93,7 @@ class CheckContext:
         declarations that had errors."""
         params = [(n, b.ty) for b in d.params for n in b.names]
         self.type_arity.setdefault(d.name, len(params))
+        self.type_params.setdefault(d.name, params)
         if isinstance(d, RecordDecl):
             sorts = [i for i, (_, ty) in enumerate(params) if isinstance(ty, SetKind)]
             info = _RecordInfo(params, {f.name: f.ty for f in d.fields}, sorts[0] if len(sorts) == 1 else None)
@@ -221,34 +223,79 @@ class _DeclChecker:
             if arity != 0:
                 self.error(ARITY_MISMATCH, f"type {n!r} expects {arity} argument(s), got 0", ty.pos)
             return
+        self._not_a_type(n, bound, ty.pos)
+
+    def _not_a_type(self, n: str, bound: dict[str, TypeExpr], pos: Pos | None) -> None:
+        """Report ``n``, which names no type, where a type is expected."""
         if n in bound or n in self.local_terms or n in self.ctx.used_member_names:
-            self.error(SORT_MISMATCH, f"{n!r} is a term, not a type", ty.pos)
-            return
-        self.error(UNBOUND_NAME, f"unknown type {n!r}", ty.pos)
+            self.error(SORT_MISMATCH, f"{n!r} is a term, not a type", pos)
+        else:
+            self.error(UNBOUND_NAME, f"unknown type {n!r}", pos)
 
     def _check_ty_app(self, ty: TyApp, bound: dict[str, TypeExpr]) -> None:
         n = ty.head
-        arity = self.ctx.type_arity.get(n)
         if n == self.self_data and self.decl.params:
-            arity = sum(len(b.names) for b in self.decl.params)
-        if arity is None:
+            params = [(x, b.ty) for b in self.decl.params for x in b.names]
+        else:
+            params = self.ctx.type_params.get(n)
+        if params is None:
             if n in self.local_sorts:
                 self.error(ARITY_MISMATCH, f"sort {n!r} takes no arguments", ty.pos)
             else:
-                self.error(UNBOUND_NAME, f"unknown type {n!r}", ty.pos)
+                self._not_a_type(n, bound, ty.pos)
             return
-        if len(ty.args) != arity:
+        if len(ty.args) != len(params):
             self.error(
                 ARITY_MISMATCH,
-                f"type {n!r} expects {arity} argument(s), got {len(ty.args)}",
+                f"type {n!r} expects {len(params)} argument(s), got {len(ty.args)}",
                 ty.pos,
             )
-        for a in ty.args:
-            # An argument can be a type or, for telescoped records, a term
-            # parameter (e.g. an instance applied to a lifted constant).
-            if isinstance(a, SortRef) and (a.name in self.local_terms or a.name in bound):
-                continue
-            self.check_type(a, bound)
+        # A Set parameter takes a type; a term parameter (for telescoped
+        # records, e.g. an instance over a lifted constant) takes a name
+        # declared with the parameter's type, read with the earlier
+        # arguments put in.  After a sort argument that fails, the later
+        # parameter types cannot be read, so their arguments are not compared.
+        sorts: dict[str, TypeExpr] = {}
+        syms: dict[str, str] = {}
+        for a, (p, want) in zip(ty.args, params):
+            if isinstance(want, SetKind):
+                errors = len(self.errors)
+                self.check_type(a, bound)
+                if len(self.errors) > errors:
+                    return
+            else:
+                self._check_term_arg(n, a, map_names(want, sorts, syms), bound)
+                if type(a) is SortRef:
+                    syms[p] = a.name
+            sorts[p] = a
+
+    def _check_term_arg(self, head: str, a: TypeExpr, want: TypeExpr, bound: dict[str, TypeExpr]) -> None:
+        """``a`` stands for a term parameter of ``head`` of type ``want``:
+        it must name a parameter, field or bound variable of that type.  The
+        type is looked up, not inferred: a lifted operation is not applied."""
+        if type(a) is SortRef:
+            name = a.name
+            got = bound.get(name, self.local_terms.get(name))
+            if got is not None:
+                if not _same_sort(got, want):
+                    self.error(
+                        SORT_MISMATCH,
+                        f"argument {name!r} of {head!r} has type {print_type(got)},"
+                        f" expected {print_type(want)}",
+                        a.pos,
+                    )
+                return
+            if name in self.local_sorts or name in self.ctx.type_arity or name == self.self_data:
+                self.error(SORT_MISMATCH, f"{name!r} is a type, not a term", a.pos)
+                return
+            if name not in self.ctx.used_member_names:
+                self.error(UNBOUND_NAME, f"unknown name {name!r}", a.pos)
+                return
+        self.error(
+            SORT_MISMATCH,
+            f"argument of {head!r} must be a term of type {print_type(want)}, got {print_type(a)}",
+            a.pos,
+        )
 
     # -- terms -----------------------------------------------------------------
 

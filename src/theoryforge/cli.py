@@ -21,13 +21,13 @@ processes, one per CPU this process may run on unless ``--jobs N`` says
 otherwise, and never more than there are theories: this process runs
 theories 0, N, 2N, ... and N - 1 forked processes run the rest, each
 writing its own theories' files and sending back a small record per
-theory.  Records are merged in theory order, so standard output, standard
-error, the exit code and the output tree are the same for any N.  A
-generation or write failure reports the first failing theory, the one a
-serial run stops at; the tree it leaves is partial, and with N > 1 may
-also hold theories after that one.  Without ``fork``, or when this process
-already runs more than one thread (a fork copies only the calling thread),
-the same unit runs in a plain loop.
+theory.  A theory whose generation or write fails gets a record that
+carries the message, and every other theory is still generated and
+written.  Records are merged in theory order and the first failure in
+that order is the one reported, so standard output, standard error, the
+exit code and the output tree are the same for any N.  Without ``fork``,
+or when this process already runs more than one thread (a fork copies
+only the calling thread), the same unit runs in a plain loop.
 
 Generated layout, per theory: ``<out>/<Theory>/<Theory><Kind>.gen.eqt`` for
 each construction plus ``<out>/<Theory>/module.gen.eqt`` holding the input
@@ -52,7 +52,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from functools import partial
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, NoReturn
 
@@ -199,16 +198,16 @@ class TheoryOutput(NamedTuple):
 
 
 class TheoryRecord(NamedTuple):
-    """What a run keeps of one theory once its files are written."""
+    """What a run keeps of one theory: its counts and check lines, or the
+    message of the generation or write failure that stopped it."""
 
     definitions: int
     lines: int
     check_lines: list[str]
+    error: str | None = None
 
 
-# a share's records, and the (theory index, message) of the GenError it stopped at
-ShareResult = tuple[list[TheoryRecord], tuple[int, str] | None]
-RunShare = Callable[[int, int], ShareResult]
+RunShare = Callable[[int, int], list[TheoryRecord]]
 
 
 def generate_for_theory(t: EqTheory, cfg: RunConfig, source_decl: Decl | None = None) -> TheoryOutput:
@@ -266,31 +265,20 @@ def _check_output_module(out: TheoryOutput, out_dir: Path) -> list[str]:
 
 def _run_theory(t: EqTheory, decl: Decl | None, cfg: RunConfig) -> TheoryRecord:
     """The per-theory unit: generate, print, reparse and check, then write
-    the files only if the module checks clean."""
-    out = generate_for_theory(t, cfg, decl)
+    the files only if the module checks clean.  A :class:`GenError` or a
+    failed write ends the unit with the record of its message."""
+    try:
+        out = generate_for_theory(t, cfg, decl)
+    except GenError as e:
+        return TheoryRecord(0, 0, [], str(e))
     check_lines = _check_output_module(out, cfg.out_dir) if out.files else []
     if out.files and not check_lines:
         try:
             _write_output(out, cfg.out_dir)
         except OSError as e:
-            raise GenError(f"cannot write to {cfg.out_dir}: {e}") from e
+            return TheoryRecord(0, 0, [], f"cannot write to {cfg.out_dir}: {e}")
     # the input theory plus one definition per construction
     return TheoryRecord(1 + len(out.files), out.module_text.count("\n"), check_lines)
-
-
-def _run_share(
-    theories: list[tuple[EqTheory, Decl | None]], cfg: RunConfig, start: int, step: int
-) -> ShareResult:
-    """Run the unit over ``theories[start::step]``, stopping at the first
-    :class:`GenError`."""
-    records: list[TheoryRecord] = []
-    for index in range(start, len(theories), step):
-        t, decl = theories[index]
-        try:
-            records.append(_run_theory(t, decl, cfg))
-        except GenError as e:
-            return records, (index, str(e))
-    return records, None
 
 
 def _share_worker(writer: int, run_share: RunShare, k: int, n: int) -> NoReturn:
@@ -313,7 +301,7 @@ def _share_worker(writer: int, run_share: RunShare, k: int, n: int) -> NoReturn:
         os._exit(code)
 
 
-def _run_shares(run_share: RunShare, n: int) -> list[ShareResult]:
+def _run_shares(run_share: RunShare, n: int) -> list[list[TheoryRecord]]:
     """Run share ``k`` of ``n`` for every ``k``: share 0 in this process,
     the others in forked processes, which inherit the theories instead of
     receiving them pickled and send their results back down a pipe."""
@@ -392,16 +380,17 @@ def _generate_batch(
 ) -> tuple[list[TheoryRecord], int]:
     """Generate, check, and write a list of theories read from ``path`` on
     up to :func:`_process_count` processes.  Returns one record per theory,
-    in theory order, and a process exit code.  A :class:`GenError` is
-    reported as a serial run would report it: the first failing theory's
-    message on one stderr line, no records, and ``EXIT_GEN``."""
+    in theory order, and a process exit code.  If a record carries an
+    error, the first such in theory order is printed on one stderr line
+    and the code is ``EXIT_GEN``; otherwise check lines give
+    ``EXIT_CHECK``."""
     n = _process_count(cfg.jobs, len(theories))
-    shares = _run_shares(partial(_run_share, theories, cfg), n)
-    failures = [failure for _, failure in shares if failure is not None]
-    if failures:
-        print(f"{path}: {min(failures)[1]}", file=sys.stderr)
-        return [], EXIT_GEN
-    records = [shares[i % n][0][i // n] for i in range(len(theories))]
+    shares = _run_shares(lambda k, step: [_run_theory(t, decl, cfg) for t, decl in theories[k::step]], n)
+    records = [shares[i % n][i // n] for i in range(len(theories))]
+    error = next((record.error for record in records if record.error is not None), None)
+    if error is not None:
+        print(f"{path}: {error}", file=sys.stderr)
+        return records, EXIT_GEN
 
     check_lines = [line for record in records for line in record.check_lines]
     if check_lines:

@@ -172,8 +172,10 @@ def extract(d: RecordDecl) -> EqTheory:
     """Read the equational-theory shape off a record declaration.
 
     The unique ``Set``-typed entry is the sort; the other entries are split
-    by :func:`split_entries`; the parameter count is the waist.  Raises
-    :class:`ShapeError` otherwise.  Messages do not name the record.
+    by :func:`split_entries`; the parameter count is the waist, so every
+    parameter must be the sort or a function symbol (:func:`embed` puts the
+    axioms after them).  Raises :class:`ShapeError` otherwise.  Messages do
+    not name the record.
     """
     telescope = [Constr(n, b.ty, pos=b.pos) for b in d.params for n in b.names]
     waist = len(telescope)
@@ -192,6 +194,12 @@ def extract(d: RecordDecl) -> EqTheory:
     names = t.declared_names()
     if len(set(names)) != len(names):
         raise ShapeError("duplicate declaration names")
+    params = {c.name for c in telescope[:waist]}
+    for a in axioms:
+        if a.name in params:
+            raise ShapeError(
+                f"axiom {a.name!r} is a record parameter; parameters must be the sort and operations"
+            )
     return t
 
 

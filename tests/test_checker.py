@@ -120,6 +120,47 @@ record Bad (A1 : Set) (Mo1 : Monoid) : Set where
     assert kinds_of(errors) == [ARITY_MISMATCH]
 
 
+N_RECORD = "record N (A : Set) (e : A) : Set where\n\n"
+
+
+@pytest.mark.parametrize(
+    "source, lines",
+    [
+        (
+            N_RECORD + "record P (B : Set) (b : B) (x : N B B) (y : N b b) : Set where\n",
+            ["m:3:37: SortMismatch: 'B' is a type, not a term", "m:3:47: SortMismatch: 'b' is a term, not a type"],
+        ),
+        (N_RECORD + "record P (B : Set) (b : B) (x : N B b) : Set where\n", []),
+        (N_RECORD + "record P (B : Set) (x : N B zz) : Set where\n", ["m:3:29: UnboundName: unknown name 'zz'"]),
+        (
+            N_RECORD + "record P (B : Set) (x : N B (N B B)) : Set where\n",
+            ["m:3:30: SortMismatch: argument of 'N' must be a term of type B, got N B B"],
+        ),
+        (
+            # a term parameter whose type reads an earlier term argument
+            N_RECORD + "record Q (A : Set) (e : A) (n : N A e) : Set where\n\n"
+            "record P (B : Set) (b : B) (c : B) (m : N B b) (q : Q B b m) (r : Q B c m) : Set where\n",
+            ["m:5:73: SortMismatch: argument 'm' of 'Q' has type N B b, expected N B c"],
+        ),
+        (
+            # the hom of a record with an axiom parameter, as it was once generated
+            "record M (A : Set) (lu : (x : A) → x == x) : Set where\n  field\n    e : A\n\n"
+            "record MHom (A1 : Set) (e1 : A1) (M1 : M A1 e1) : Set where\n",
+            ["m:5:45: SortMismatch: argument 'e1' of 'M' has type A1, expected (x : A1) → x == x"],
+        ),
+    ],
+    ids=["type-for-term-and-term-for-type", "term-argument", "unknown-term", "type-application-for-term",
+         "dependent-parameter", "axiom-parameter"],
+)
+def test_type_application_arguments_are_checked_against_the_parameters(source, lines):
+    assert format_errors(check_module(parse_file(source)), "m").splitlines() == lines
+
+
+def test_an_applied_field_in_a_type_is_a_term_not_a_type():
+    source = "record M (A : Set) : Set where\n  field\n    r : A → A → Set\n    refl : (x : A) → r x x\n"
+    assert format_errors(check_module(parse_file(source)), "m") == "m:4:22: SortMismatch: 'r' is a term, not a type"
+
+
 def test_error_lines_have_stable_format():
     errors = check_module(parse_file(read_data("bad_unbound_name.eqt")))
     report = format_errors(errors, "m.eqt")

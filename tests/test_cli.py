@@ -253,6 +253,22 @@ def test_gen_shape_error_names_the_theory_once(workdir, capsys):
     assert not (workdir / "out").exists()
 
 
+def test_gen_refuses_an_axiom_among_the_parameters(workdir, capsys):
+    # the constructions read the parameters as the sort and operations
+    path = workdir / "axparam.eqt"
+    path.write_text(
+        "record M (A : Set) (lu : (x : A) → x == x) : Set where\n  field\n    e : A\n", encoding="utf-8"
+    )
+    assert main(["check", str(path)]) == 0
+    assert main(["gen", str(path), "--constructions", "sig,prod,hom", "--out", "out"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"{path}: M: axiom 'lu' is a record parameter; parameters must be the sort and operations"
+    ]
+    assert not (workdir / "out").exists()
+
+
 def test_gen_unknown_construction_is_named(workdir, capsys):
     path = copy_fixture("monoid.eqt", workdir)
     assert main(["gen", str(path), "--out", "out", "--constructions", "sig,bogus"]) == 3
@@ -535,25 +551,44 @@ def test_gen_check_failures_print_the_same_on_any_number_of_processes(workdir, c
 
 
 def test_gen_failure_names_the_first_failing_theory_on_any_number_of_processes(workdir, capsys):
-    # regular files stand where A1's and A2's output directories go, so
-    # both fail to write; at --jobs 2 A2 (index 2) fails in this process and
-    # A1 (index 1) in the forked one, and A1 is reported
+    # "write": regular files stand where A1's and A2's output directories
+    # go, so both fail to write; at --jobs 2 A2 (index 2) fails in this
+    # process and A1 (index 1) in the forked one, and A1 is reported.
+    # "generation": W's sort is a field, so its hom cannot be generated.
+    # Either way, every other theory is written, on any number of processes.
     monoid = (DATA / "monoid.eqt").read_text(encoding="utf-8")
-    source = workdir / "clash.eqt"
-    source.write_text("\n".join([monoid, _plain("A1"), _plain("A2")]), encoding="utf-8")
-    (workdir / "out").mkdir()
-    for name in ("A1", "A2"):
-        (workdir / "out" / name).write_text("", encoding="utf-8")
-    errors = []
-    for jobs in ("1", "2"):
-        assert main(["gen", str(source), "--out", "out", "--jobs", jobs]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        errors.append(captured.err)
-    assert errors[0] == errors[1]
-    assert errors[0].startswith(f"{source}: cannot write to out: ")
-    assert "'out/A1'" in errors[0] and "A2" not in errors[0]
-    assert no_child_left()
+    waist_zero = "record W : Set where\n  field\n    A : Set\n"
+    rows = {
+        "write": (_plain("A1"), ["A1", "A2"], ["A3", "Monoid"]),
+        "generation": (waist_zero, [], ["A2", "A3", "Monoid"]),
+    }
+    out = workdir / "out"
+    for row, (second, blocked, written) in rows.items():
+        source = workdir / f"{row}.eqt"
+        source.write_text("\n".join([monoid, second, _plain("A2"), _plain("A3")]), encoding="utf-8")
+        runs = []
+        for jobs in ("1", "2", "3", "default"):
+            out.mkdir()
+            for name in blocked:
+                (out / name).write_text("", encoding="utf-8")
+            argv = ["gen", str(source), "--out", "out"]
+            code = main(argv if jobs == "default" else [*argv, "--jobs", jobs])
+            runs.append((code, capsys.readouterr(), tree_hash(out)))
+            assert sorted(p.name for p in out.iterdir() if p.is_dir()) == written
+            assert all((out / name / "module.gen.eqt").is_file() for name in written)
+            assert no_child_left()
+            shutil.rmtree(out)
+        assert all(run == runs[0] for run in runs), row
+        code, captured, _ = runs[0]
+        assert code == 3 and captured.out == ""
+        if row == "write":
+            assert captured.err.startswith(f"{source}: cannot write to out: ")
+            assert "'out/A1'" in captured.err and "A2" not in captured.err
+            assert captured.err.count("\n") == 1
+        else:
+            assert captured.err == (
+                f"{source}: W: homomorphisms need the carrier as a record parameter (waist >= 1)\n"
+            )
 
 
 # each record passes check, and at the parent of the fresh-name supply each

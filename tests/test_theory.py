@@ -60,6 +60,19 @@ def test_extract_rejects_non_theory_field():
         extract(d)
 
 
+@pytest.mark.parametrize(
+    "params",
+    ["(A : Set) (lu : (x : A) → x == x)", "(A : Set) (e : A) (lu : (x : A) → x == x)"],
+    ids=["before-a-field-operation", "after-every-operation"],
+)
+def test_extract_rejects_an_axiom_among_the_parameters(params):
+    # embed and the hom family take the first waist entries of sort,
+    # operations, axioms as the parameters, which would move ``lu``
+    d = parse_decl(f"record M {params} : Set where\n  field\n    op : A → A → A")
+    with pytest.raises(ShapeError, match="^axiom 'lu' is a record parameter;"):
+        extract(d)
+
+
 def test_extract_waist_zero():
     d = parse_decl("record M : Set where\n  field\n    A : Set\n    e : A")
     t = extract(d)
