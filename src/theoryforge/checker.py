@@ -10,7 +10,10 @@ and one of four kinds: ``UnboundName``, ``ArityMismatch``, ``SortMismatch``,
 Member names (record fields, data constructors, record constructor names)
 share one namespace across the whole module being checked: generated
 records project fields by plain application (``op Mo1 x1 x2``), which only
-works if every member name is globally unambiguous.
+works if every member name is globally unambiguous.  Inside a ``data``
+declaration its own name stands bare or applied to all its parameters.
+Nodes are told apart by their exact class; a projected field's type is
+built once per carrier in each declaration.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from .ast import (
     TyApp,
     TypeExpr,
     Var,
-    arrow_components,
     map_names,
     spine,
 )
@@ -63,11 +65,22 @@ def _same_sort(a: TypeExpr, b: TypeExpr) -> bool:
     """``a == b`` for two sorts.  A sort is nearly always a name or a head
     applied to names, which are compared here by name; anything else goes
     through the general ``==`` walk."""
-    if type(a) is SortRef and type(b) is SortRef:
+    if a is b:
+        return True
+    cls = type(a)
+    if cls is not type(b):
+        return False
+    if cls is SortRef:
         return a.name == b.name
-    if type(a) is TyApp and type(b) is TyApp and all(type(x) is SortRef for x in (*a.args, *b.args)):
-        return a.head == b.head and [x.name for x in a.args] == [y.name for y in b.args]
-    return a == b
+    if cls is not TyApp or a.head != b.head or len(a.args) != len(b.args):
+        return a == b
+    for x, y in zip(a.args, b.args):
+        if type(x) is SortRef and type(y) is SortRef:
+            if x.name != y.name:
+                return False
+        elif x != y:
+            return False
+    return True
 
 
 class _RecordInfo(NamedTuple):
@@ -116,6 +129,7 @@ class _DeclChecker:
         self.local_sorts: set[str] = set()
         self.local_terms: dict[str, TypeExpr] = {}
         self.self_data = d.name if isinstance(d, DataDecl) else None
+        self.projected: dict[tuple[str, str], TypeExpr] = {}
 
     def error(self, kind: str, message: str, pos: Pos | None) -> None:
         self.errors.append(CheckError(kind, message, pos or self.decl.pos))
@@ -176,15 +190,12 @@ class _DeclChecker:
     # -- types ----------------------------------------------------------------
 
     def check_type(self, ty: TypeExpr, bound: dict[str, TypeExpr]) -> None:
-        if isinstance(ty, SetKind):
-            return
-        if isinstance(ty, SortRef):
+        # exact class tests: the node classes are never subclassed
+        cls = type(ty)
+        if cls is SortRef:
             self._check_sort_ref(ty, bound)
             return
-        if isinstance(ty, TyApp):
-            self._check_ty_app(ty, bound)
-            return
-        if isinstance(ty, Equation):
+        if cls is Equation:
             lhs_sort = self.infer_sort(ty.lhs, bound)
             rhs_sort = self.infer_sort(ty.rhs, bound)
             if lhs_sort is not None and rhs_sort is not None and not _same_sort(lhs_sort, rhs_sort):
@@ -195,13 +206,18 @@ class _DeclChecker:
                     ty.pos,
                 )
             return
-        if not isinstance(ty, (Arrow, Quant)):
+        if cls is TyApp:
+            self._check_ty_app(ty, bound)
+            return
+        if cls is SetKind:
+            return
+        if cls is not Arrow and cls is not Quant:
             raise TypeError(f"not a type expression: {ty!r}")
         # a chain of arrow codomains and quantifier bodies is checked in a
         # loop; its quantifiers bind into a copy of the caller's ``bound``
         bound = dict(bound)
-        while isinstance(ty, (Arrow, Quant)):
-            if isinstance(ty, Arrow):
+        while cls is Arrow or cls is Quant:
+            if cls is Arrow:
                 self.check_type(ty.dom, bound)
                 ty = ty.cod
             else:
@@ -212,6 +228,7 @@ class _DeclChecker:
                             self.error(DUPLICATE_FIELD, f"binder {n!r} shadows another name", b.pos)
                         bound[n] = b.ty
                 ty = ty.body
+            cls = type(ty)
         self.check_type(ty, bound)
 
     def _check_sort_ref(self, ty: SortRef, bound: dict[str, TypeExpr]) -> None:
@@ -234,7 +251,7 @@ class _DeclChecker:
 
     def _check_ty_app(self, ty: TyApp, bound: dict[str, TypeExpr]) -> None:
         n = ty.head
-        if n == self.self_data and self.decl.params:
+        if n == self.self_data:
             params = [(x, b.ty) for b in self.decl.params for x in b.names]
         else:
             params = self.ctx.type_params.get(n)
@@ -300,6 +317,10 @@ class _DeclChecker:
     # -- terms -----------------------------------------------------------------
 
     def infer_sort(self, t: Term, bound: dict[str, TypeExpr]) -> TypeExpr | None:
+        if type(t) is Var or type(t) is Sym:
+            sort = bound.get(t.name)
+            if sort is not None:
+                return sort
         head, args = spine(t)
         if not isinstance(head, (Var, Sym)):
             self.error(SORT_MISMATCH, "malformed term", getattr(t, "pos", None))
@@ -307,11 +328,9 @@ class _DeclChecker:
         name = head.name
         pos = head.pos
 
-        if name in bound:
-            if args:
-                self.error(ARITY_MISMATCH, f"variable {name!r} cannot be applied", pos)
-                return None
-            return bound[name]
+        if name in bound:  # an applied variable: a bare one is looked up above
+            self.error(ARITY_MISMATCH, f"variable {name!r} cannot be applied", pos)
+            return None
 
         if name in self.local_terms:
             return self._apply(name, self.local_terms[name], args, bound, pos)
@@ -346,8 +365,12 @@ class _DeclChecker:
         bound: dict[str, TypeExpr],
         pos: Pos | None,
     ) -> TypeExpr | None:
-        parts = arrow_components(ty)
-        doms, cod = parts[:-1], parts[-1]
+        if not args and type(ty) is not Arrow:
+            return ty
+        doms: list[TypeExpr] = []
+        while type(ty) is Arrow:
+            doms.append(ty.dom)
+            ty = ty.cod
         if len(args) != len(doms):
             self.error(
                 ARITY_MISMATCH,
@@ -367,7 +390,7 @@ class _DeclChecker:
                     pos,
                 )
                 ok = False
-        return cod if ok else None
+        return ty if ok else None
 
     def _project(
         self, name: str, owner: str, args: list[Term], bound: dict[str, TypeExpr], pos: Pos | None
@@ -406,7 +429,12 @@ class _DeclChecker:
             )
             return None
         carrier = inst_args[sort_index]
-        field_ty = map_names(info.fields[name], {info.params[sort_index][0]: carrier})
+        # the field's type with the carrier put in, once per declaration
+        key = (name, carrier.name if type(carrier) is SortRef else print_type(carrier))
+        field_ty = self.projected.get(key)
+        if field_ty is None:
+            sorts = {info.params[sort_index][0]: carrier}
+            field_ty = self.projected[key] = map_names(info.fields[name], sorts)
         return self._apply(name, field_ty, args[1:], bound, pos)
 
 

@@ -227,24 +227,32 @@ def generate_for_theory(t: EqTheory, cfg: RunConfig, source_decl: Decl | None = 
     return TheoryOutput(t.name, files, module_text)
 
 
-def _write_file(path: str, text: str) -> None:
-    """Write ``text`` as UTF-8 (its line endings are LF already), in one
-    system call unless the kernel takes less."""
-    data = text.encode("utf-8")
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
-    try:
-        while data:
-            data = data[os.write(fd, data):]
-    finally:
-        os.close(fd)
-
-
 def _write_output(out: TheoryOutput, out_dir: Path) -> None:
+    """Write the theory's files as UTF-8 (their line endings are LF
+    already), each in one system call unless the kernel takes less.  If a
+    write fails, every file this call opened is removed before the error
+    propagates, so a theory leaves all of its files or none."""
     directory = os.path.join(out_dir, out.name)
     os.makedirs(directory, exist_ok=True)
-    for filename, text in sorted(out.files.items()):
-        _write_file(os.path.join(directory, filename), text)
-    _write_file(os.path.join(directory, "module.gen.eqt"), out.module_text)
+    opened: list[str] = []
+    try:
+        for filename, text in [*sorted(out.files.items()), ("module.gen.eqt", out.module_text)]:
+            path = os.path.join(directory, filename)
+            data = text.encode("utf-8")
+            fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+            opened.append(path)
+            try:
+                while data:
+                    data = data[os.write(fd, data):]
+            finally:
+                os.close(fd)
+    except OSError:
+        for path in opened:
+            try:
+                os.remove(path)
+            except OSError:
+                pass
+        raise
 
 
 def _parse_error_line(path: Path | str, e: ParseError) -> str:
@@ -266,7 +274,8 @@ def _check_output_module(out: TheoryOutput, out_dir: Path) -> list[str]:
 def _run_theory(t: EqTheory, decl: Decl | None, cfg: RunConfig) -> TheoryRecord:
     """The per-theory unit: generate, print, reparse and check, then write
     the files only if the module checks clean.  A :class:`GenError` or a
-    failed write ends the unit with the record of its message."""
+    failed write, which leaves none of the theory's files, ends the unit
+    with the record of its message."""
     try:
         out = generate_for_theory(t, cfg, decl)
     except GenError as e:

@@ -133,11 +133,11 @@ def _supply(t: EqTheory, names: NameSupply | None) -> NameSupply:
     return NameSupply.for_module(embed(t)) if names is None else names
 
 
-def _renaming(t: EqTheory, suffix: str, names: NameSupply) -> dict[str, str]:
+def _renaming(t: EqTheory, suffix: str, names: NameSupply, ops: list[str | None]) -> dict[str, str]:
     """The suffix scheme's targets, drawn from the supply; they also avoid
     every bound variable of the axioms, which a target would capture."""
     bound = {v for ax in t.axioms for v in ax.var_names}
-    return {old: names.fresh(new, bound) for old, new in RenameScheme(suffix).mapping_for(t).items()}
+    return {old: names.fresh(new, bound) for old, new in RenameScheme(suffix).mapping_for(t, ops).items()}
 
 
 def _record(t: EqTheory, names: NameSupply) -> RecordDecl:
@@ -156,7 +156,7 @@ def gen_signature(
     names = _supply(t, names)
     name = names.fresh(t.name + "Sig")
     bare = EqTheory(t.name, t.sort, t.func_types, [], t.waist)
-    return rename_with(bare, _renaming(bare, suffix, names), new_name=name)
+    return rename_with(bare, _renaming(bare, suffix, names, []), new_name=name)
 
 
 # -- product algebra ---------------------------------------------------------------
@@ -167,28 +167,24 @@ def gen_product(
     """The theory over the binary product of the carrier: every occurrence
     of the sort becomes ``Prod s s``, axiom binders become explicit (one per
     variable, variables suffixed), and a recognised associativity axiom is
-    restated canonically as ``f (f x y) z == f x (f y z)``."""
+    restated canonically as ``f (f x y) z == f x (f y z)``.  Each axiom is
+    recognised once and renamed in one walk."""
     names = _supply(t, names)
     name = names.fresh(t.name + "Prod")
-    renamed = rename_with(t, _renaming(t, suffix, names), new_name=name)
-    sort2 = renamed.sort.name
+    ops = [associativity_op(ax) for ax in t.axioms]
+    mapping = _renaming(t, suffix, names, ops)
+    sort2 = mapping.get(t.sort.name, t.sort.name)
     prod_ty = TyApp(names.prod_type, [SortRef(sort2), SortRef(sort2)])
-    to_prod = {sort2: prod_ty}
-
-    funcs = [Constr(f.name, map_names(f.ty, to_prod)) for f in renamed.func_types]
-    axioms: list[Axiom] = []
-    for ax in renamed.axioms:
+    variables = []
+    for ax in t.axioms:
         scope = names.scope()
-        var_map = {v: scope.fresh(v + suffix) for v in ax.var_names}
-        binders = [Binder([var_map[v]], prod_ty, hidden=False) for v in ax.var_names]
-        op = associativity_op(ax)
+        variables.append({v: scope.fresh(v + suffix) for v in ax.var_names})
+    renamed = rename_with(t, mapping, name, prod_ty, variables)
+    for ax, op, var_map in zip(renamed.axioms, ops, variables):
+        ax.binders = [Binder([v], prod_ty) for v in var_map.values()]
         if op is not None:
-            lhs, rhs = associativity(op, *(Var(var_map[v]) for v in ax.var_names))
-        else:
-            lhs = map_names(ax.lhs, vars=var_map)
-            rhs = map_names(ax.rhs, vars=var_map)
-        axioms.append(Axiom(ax.name, binders, lhs, rhs))
-    return EqTheory(renamed.name, renamed.sort, funcs, axioms, renamed.waist)
+            ax.lhs, ax.rhs = associativity(mapping.get(op, op), *(Var(v) for v in var_map.values()))
+    return renamed
 
 
 def prod_decl(names: NameSupply | None = None) -> RecordDecl:

@@ -28,16 +28,21 @@ with a ``C`` appended, so printing always round-trips.
 
 The parser pads the token list it is given with two extra ``EOF`` tokens,
 so lookahead is plain indexing: no lookahead the grammar needs can run past
-the end.  Parentheses and binder groups may nest at most ``MAX_NESTING``
-levels deep; deeper input is a ``ParseError`` at the opening token, before
-the recursion could exhaust the interpreter's stack.  ``parse_type`` folds
-quantifier and arrow chains in a loop and ``_parse_apps`` parses atoms
-inline, so a chain costs no recursion and each level of nesting costs two
-frames (``parse_type`` and ``_parse_apps``, or ``parse_type`` and
-``_parse_binder_group``).  Arrow chains do not count as nesting.
+the end; tokens are read by index.  Parentheses and binder groups may nest
+at most ``MAX_NESTING`` levels deep; deeper input is a ``ParseError`` at
+the opening token, before the recursion could exhaust the interpreter's
+stack.  ``parse_type`` folds quantifier and arrow chains in a loop and
+``_parse_apps`` collects an application's atoms inline, so a chain costs
+no recursion and each level of nesting costs two frames (``parse_type`` and
+``_parse_apps``, or ``parse_type`` and ``_parse_binder_group``).  Arrow
+chains do not count as nesting.  An application is collected unbuilt and
+built once, as a type or, after ``==``, as a term (``_as_type``,
+``_as_term``); one in parentheses is built with the one around it.
 """
 
 from __future__ import annotations
+
+from typing import Any
 
 from .ast import (
     App,
@@ -182,20 +187,14 @@ class Parser:
         ctors = self._parse_constr_block()
         return DataDecl(name.value, params, ctors, start[2:])
 
-    def at_constr_start(self) -> bool:
-        return self._peek().kind == NAME and self._peek(1).kind == COLON
-
     def _parse_constr_block(self) -> list[Constr]:
+        tokens = self.tokens
         constrs: list[Constr] = []
-        while self.at_constr_start():
-            constrs.append(self.parse_constr())
+        while tokens[self.pos][0] == NAME and tokens[self.pos + 1][0] == COLON:
+            name = tokens[self.pos]
+            self.pos += 2
+            constrs.append(Constr(name[1], self.parse_type(_UNBOUND), name[2:]))
         return constrs
-
-    def parse_constr(self) -> Constr:
-        name = self._expect_name()
-        self._expect(COLON)
-        ty = self.parse_type(frozenset())
-        return Constr(name.value, ty, name[2:])
 
     # -- binders --------------------------------------------------------------------
 
@@ -204,38 +203,38 @@ class Parser:
         ``{`` always does in type position; ``(`` only if followed by
         one or more names and a colon."""
         tokens = self.tokens
-        kind = tokens[k].kind
+        kind = tokens[k][0]
         if kind == LBRACE:
             return True
-        if kind != LPAREN or tokens[k + 1].kind != NAME:
+        if kind != LPAREN or tokens[k + 1][0] != NAME:
             return False
         k += 2
-        while tokens[k].kind == NAME:
+        while tokens[k][0] == NAME:
             k += 1
-        return tokens[k].kind == COLON
+        return tokens[k][0] == COLON
 
     def _parse_binder_group(self) -> Binder:
         """A binder group; the caller has seen it open at the current token."""
         tokens = self.tokens
         open_tok = tokens[self.pos]
         self.pos += 1
-        hidden = open_tok.kind == LBRACE
+        hidden = open_tok[0] == LBRACE
         close = RBRACE if hidden else RPAREN
         names = [self._expect_name()]
-        while tokens[self.pos].kind == NAME:
+        while tokens[self.pos][0] == NAME:
             names.append(tokens[self.pos])
             self.pos += 1
         seen: set[str] = set()
         for t in names:
-            if t.value in seen:
-                raise ParseError(f"repeated binder name {t.value!r}", t.line, t.col)
-            seen.add(t.value)
+            if t[1] in seen:
+                raise ParseError(f"repeated binder name {t[1]!r}", t[2], t[3])
+            seen.add(t[1])
         self._expect(COLON)
         self._nest(open_tok)
-        ty = self.parse_type(frozenset())
+        ty = self.parse_type(_UNBOUND)
         self.depth -= 1
         self._expect(close)
-        return Binder([t.value for t in names], ty, hidden, open_tok[2:])
+        return Binder([t[1] for t in names], ty, hidden, open_tok[2:])
 
     def _parse_binders(self) -> list[Binder]:
         binders: list[Binder] = []
@@ -245,17 +244,18 @@ class Parser:
 
     # -- type expressions --------------------------------------------------------------
 
-    def parse_type(self, bound: frozenset[str]) -> TypeExpr:
+    def parse_type(self, bound: frozenset[str], group: bool = False) -> TypeExpr:
         """Parse a typeExpr.  Quantifiers and arrows are collected in a loop
-        and built right to left, so a chain of them costs no recursion; a
-        parenthesised type costs two frames, this one and ``_parse_apps``."""
+        and built right to left, so a chain of them costs no recursion.  In
+        a parenthesised ``group``, an application that stands alone comes
+        back unbuilt, as ``_parse_apps`` gives it."""
         tokens = self.tokens
         # (node class, binders or domain, position) of each quantifier or
         # arrow, outermost first
         links: list[tuple[type, object, tuple[int, int]]] = []
         while True:
             tok = tokens[self.pos]
-            kind = tok.kind
+            kind = tok[0]
             if (kind == LPAREN or kind == LBRACE) and self._binder_at(self.pos):
                 binders = [self._parse_binder_group()]
                 while self._binder_at(self.pos):
@@ -264,75 +264,98 @@ class Parser:
                 bound = bound.union(n for b in binders for n in b.names)
                 links.append((Quant, binders, tok[2:]))
                 continue
-            ty = self._parse_apps(bound)
-            eq = tokens[self.pos]
-            if eq.kind == EQEQ:
+            apps = self._parse_apps(bound)
+            tok = tokens[self.pos]
+            if tok[0] == EQEQ:
                 self.pos += 1
                 rhs = self._parse_apps(bound)
-                ty = Equation(self._to_term(ty, bound), self._to_term(rhs, bound), eq[2:])
-            arrow = tokens[self.pos]
-            if arrow.kind != ARROW:
+                ty = Equation(_as_term(apps, bound), _as_term(rhs, bound), tok[2:])
+                tok = tokens[self.pos]
+            elif group and not links and tok[0] != ARROW:
+                return apps  # type: ignore[return-value]
+            else:
+                ty = _as_type(apps)
+            if tok[0] != ARROW:
                 break
             self.pos += 1
-            links.append((Arrow, ty, arrow[2:]))
+            links.append((Arrow, ty, tok[2:]))
         for node, first, pos in reversed(links):
             ty = node(first, ty, pos)
         return ty
 
-    def _parse_apps(self, bound: frozenset[str]) -> TypeExpr:
-        """``atom+``; atoms are parsed here, a parenthesised one through
-        ``parse_type``."""
+    def _parse_apps(self, bound: frozenset[str]) -> Any:
+        """``atom+``, unbuilt: its one atom, or the list of its first token
+        and its atoms, the first a ``NAME`` token.  An atom is a ``NAME`` or
+        ``Set`` token, an unbuilt application in parentheses, or any other
+        type in parentheses."""
         tokens = self.tokens
         k = self.pos
-        head_tok = tokens[k]
-        atoms: list[TypeExpr] = []
+        apps: list = [tokens[k]]
         while True:
             tok = tokens[k]
-            kind = tok.kind
+            kind = tok[0]
             if kind == NAME:
                 # a name directly followed by ':' begins the next constr
-                if tokens[k + 1].kind == COLON:
+                if tokens[k + 1][0] == COLON:
                     break
-                atoms.append(SortRef(tok.value, tok[2:]))
+                apps.append(tok)
                 k += 1
             elif kind == LPAREN:
                 if self._binder_at(k):
                     break
                 self.pos = k + 1
                 self._nest(tok)
-                atoms.append(self.parse_type(bound))
+                apps.append(self.parse_type(bound, True))
                 self.depth -= 1
                 self._expect(RPAREN)
                 k = self.pos
-            elif kind == KEYWORD and tok.value == "Set":
-                atoms.append(SetKind(tok[2:]))
+            elif kind == KEYWORD and tok[1] == "Set":
+                apps.append(tok)
                 k += 1
             else:
                 break
         self.pos = k
-        if len(atoms) == 1:
-            return atoms[0]
-        if not atoms:
-            raise self._error(f"expected a type expression, got {head_tok.value!r}", head_tok)
-        head = atoms[0]
-        if type(head) is not SortRef:
-            raise ParseError("application head must be a name", head_tok.line, head_tok.col)
-        return TyApp(head.name, atoms[1:], head_tok[2:])
+        if len(apps) == 2:
+            return apps[1]
+        if len(apps) == 1:
+            raise self._error(f"expected a type expression, got {apps[0][1]!r}", apps[0])
+        head = apps[1]
+        if type(head) is not Token or head[0] != NAME:
+            raise ParseError("application head must be a name", apps[0][2], apps[0][3])
+        return apps
 
-    # -- terms ---------------------------------------------------------------------------
 
-    def _to_term(self, ty: TypeExpr, bound: frozenset[str]) -> Term:
-        """Reinterpret a parsed type expression as an equation-side term."""
-        if type(ty) is SortRef:
-            return (Var if ty.name in bound else Sym)(ty.name, ty.pos)
-        if type(ty) is TyApp:
-            pos = ty.pos
-            t: Term = (Var if ty.head in bound else Sym)(ty.head, pos)
-            for arg in ty.args:
-                t = App(t, self._to_term(arg, bound), pos)
-            return t
-        pos = getattr(ty, "pos", None) or (0, 0)
-        raise ParseError("expected a term on this side of '=='", pos[0], pos[1])
+_UNBOUND: frozenset[str] = frozenset()
+
+
+def _as_type(x: Any) -> TypeExpr:
+    """Build an atom or an unbuilt application as a type expression."""
+    cls = type(x)
+    if cls is Token:
+        return SortRef(x[1], x[2:]) if x[0] == NAME else SetKind(x[2:])
+    if cls is list:
+        return TyApp(x[1][1], [_as_type(a) for a in x[2:]], x[0][2:])
+    return x
+
+
+def _as_term(x: Any, bound: frozenset[str]) -> Term:
+    """Build an atom or an unbuilt application as an equation-side term:
+    names in ``bound`` are variables, every other name a symbol."""
+    cls = type(x)
+    if cls is Token:
+        if x[0] == NAME:
+            return (Var if x[1] in bound else Sym)(x[1], x[2:])
+        pos = x[2:]
+    elif cls is list:
+        pos = x[0][2:]
+        name = x[1][1]
+        t: Term = (Var if name in bound else Sym)(name, pos)
+        for i in range(2, len(x)):
+            t = App(t, _as_term(x[i], bound), pos)
+        return t
+    else:
+        pos = x.pos
+    raise ParseError("expected a term on this side of '=='", pos[0], pos[1])
 
 
 def parse_file(source: str) -> list[Decl]:

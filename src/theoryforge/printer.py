@@ -4,7 +4,8 @@ Output is canonical: 2-space indentation per level, ``→`` for arrows, ``==``
 for equations, binders as ``(x : T)`` / ``{x : T}``, and parentheses only
 where reparsing needs them.  ``parse_file(print_decl(d))`` yields a
 declaration structurally equal to ``d``, and identical inputs always produce
-byte-identical text.
+byte-identical text.  Nodes are told apart by their exact class; an
+application's spine and a chain of arrows and quantifiers print in a loop.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from .ast import (
     App,
     Arrow,
     Binder,
-    Constr,
     Decl,
     Equation,
     Quant,
@@ -25,28 +25,33 @@ from .ast import (
     TyApp,
     TypeExpr,
     Var,
-    spine,
 )
 
 INDENT = "  "
 
 
 def print_term(t: Term) -> str:
-    head, args = spine(t)
-    if not isinstance(head, (Var, Sym)):
+    # the arguments are printed from the last one back along the function
+    # spine, so a long spine costs no recursion
+    parts: list[str] = []
+    while type(t) is App:
+        a = t.arg
+        c = type(a)
+        parts.append(a.name if c is Var or c is Sym else f"({print_term(a)})" if c is App else print_term(a))
+        t = t.fn
+    if type(t) is not Var and type(t) is not Sym:
         raise ValueError("term head must be a name")
-    parts = [head.name]
-    for a in args:
-        parts.append(f"({print_term(a)})" if isinstance(a, App) else print_term(a))
+    if not parts:
+        return t.name
+    parts.append(t.name)
+    parts.reverse()
     return " ".join(parts)
 
 
 def _atom(ty: TypeExpr) -> str:
     """Render with parentheses unless the node is already atomic."""
     text = print_type(ty)
-    if isinstance(ty, (SetKind, SortRef)):
-        return text
-    return f"({text})"
+    return text if type(ty) is SetKind or type(ty) is SortRef else f"({text})"
 
 
 def print_binder(b: Binder) -> str:
@@ -55,47 +60,46 @@ def print_binder(b: Binder) -> str:
 
 
 def print_type(ty: TypeExpr) -> str:
-    if isinstance(ty, SetKind):
-        return "Set"
-    if isinstance(ty, SortRef):
+    # exact class tests: the node classes are never subclassed
+    cls = type(ty)
+    if cls is SortRef:
         return ty.name
-    if isinstance(ty, TyApp):
-        return " ".join([ty.head] + [_atom(a) for a in ty.args])
-    if isinstance(ty, Equation):
+    if cls is TyApp:
+        return " ".join([ty.head] + [a.name if type(a) is SortRef else _atom(a) for a in ty.args])
+    if cls is Equation:
         return f"{print_term(ty.lhs)} == {print_term(ty.rhs)}"
-    if not isinstance(ty, (Arrow, Quant)):
+    if cls is SetKind:
+        return "Set"
+    if cls is not Arrow and cls is not Quant:
         raise ValueError(f"not a type expression: {ty!r}")
     # a chain of arrow codomains and quantifier bodies is printed in a loop
     parts: list[str] = []
-    while isinstance(ty, (Arrow, Quant)):
-        if isinstance(ty, Arrow):
+    while cls is Arrow or cls is Quant:
+        if cls is Arrow:
             dom = print_type(ty.dom)
-            parts.append(f"({dom})" if isinstance(ty.dom, (Arrow, Quant)) else dom)
+            parts.append(f"({dom})" if type(ty.dom) in (Arrow, Quant) else dom)
             ty = ty.cod
         else:
-            parts.append(" ".join(print_binder(b) for b in ty.binders))
+            parts.append(" ".join([print_binder(b) for b in ty.binders]))
             ty = ty.body
+        cls = type(ty)
     parts.append(print_type(ty))
     return " → ".join(parts)
 
 
-def _print_constr(c: Constr, indent: str) -> str:
-    return f"{indent}{c.name} : {print_type(c.ty)}"
-
-
 def print_decl(d: Decl) -> str:
     """Render one declaration (no trailing newline)."""
-    params = "".join(" " + print_binder(b) for b in d.params)
-    if isinstance(d, RecordDecl):
-        lines = [f"record {d.name}{params} : Set where"]
-        lines.append(f"{INDENT}constructor {d.constructor_name}")
-        if d.fields:
-            lines.append(f"{INDENT}field")
-            lines.extend(_print_constr(f, INDENT * 2) for f in d.fields)
-        return "\n".join(lines)
-    lines = [f"data {d.name}{params} : Set where"]
-    lines.extend(_print_constr(c, INDENT) for c in d.constructors)
-    return "\n".join(lines)
+    params = "".join([" " + print_binder(b) for b in d.params])
+    if type(d) is RecordDecl:
+        text = f"record {d.name}{params} : Set where\n{INDENT}constructor {d.constructor_name}"
+        if not d.fields:
+            return text
+        members, indent = d.fields, f"\n{INDENT * 2}"
+        text += f"\n{INDENT}field"
+    else:
+        members, indent = d.constructors, f"\n{INDENT}"
+        text = f"data {d.name}{params} : Set where"
+    return text + "".join([f"{indent}{c.name} : {print_type(c.ty)}" for c in members])
 
 
 def print_module(decls: list[Decl]) -> str:

@@ -71,7 +71,7 @@ class Axiom(Structure):
 
     @property
     def var_names(self) -> list[str]:
-        return [n for n, _ in self.vars]
+        return [n for b in self.binders for n in b.names]
 
     def to_constr(self) -> Constr:
         eq = Equation(self.lhs, self.rhs)
@@ -98,7 +98,7 @@ class EqTheory(Structure):
 
     def constants(self) -> list[str]:
         """Nullary function symbols, in declaration order."""
-        return [f.name for f in self.func_types if arity(f.ty) == 0]
+        return [f.name for f in self.func_types if type(f.ty) is not Arrow]
 
 
 # -- extraction -----------------------------------------------------------------
@@ -205,12 +205,20 @@ def extract(d: RecordDecl) -> EqTheory:
 
 # -- renaming --------------------------------------------------------------------
 
-def rename_with(t: EqTheory, mapping: dict[str, str], new_name: str | None = None) -> EqTheory:
+def rename_with(
+    t: EqTheory,
+    mapping: dict[str, str],
+    new_name: str | None = None,
+    carrier: TypeExpr | None = None,
+    variables: list[dict[str, str]] | None = None,
+) -> EqTheory:
     """Apply an explicit name map to every occurrence of the declared names.
 
-    Bound variables are left alone; the theory name changes only when
-    ``new_name`` says so.  Raises :class:`CollisionError` if the renaming
-    would produce duplicate declared names or capture a bound variable.
+    Bound variables are left alone, unless ``variables`` maps them for each
+    axiom; the theory name changes only when ``new_name`` says so, and
+    ``carrier``, if given, replaces the sort in types.  Raises
+    :class:`CollisionError` if ``mapping`` would produce duplicate declared
+    names or capture a bound variable.
     """
     declared = t.declared_names()
     unknown = set(mapping) - set(declared)
@@ -228,16 +236,16 @@ def rename_with(t: EqTheory, mapping: dict[str, str], new_name: str | None = Non
             )
 
     sort = Constr(mapping.get(t.sort.name, t.sort.name), SetKind())
-    sorts = {t.sort.name: SortRef(sort.name)}
+    sorts = {t.sort.name: SortRef(sort.name) if carrier is None else carrier}
     funcs = [Constr(mapping.get(f.name, f.name), map_names(f.ty, sorts, mapping)) for f in t.func_types]
     axioms = [
         Axiom(
             mapping.get(a.name, a.name),
-            [map_names(b, sorts) for b in a.binders],
-            map_names(a.lhs, syms=mapping),
-            map_names(a.rhs, syms=mapping),
+            [map_names(b, sorts, vars=v) for b in a.binders],
+            map_names(a.lhs, syms=mapping, vars=v),
+            map_names(a.rhs, syms=mapping, vars=v),
         )
-        for a in t.axioms
+        for a, v in zip(t.axioms, variables or [{}] * len(t.axioms))
     ]
     return EqTheory(new_name if new_name is not None else t.name, sort, funcs, axioms, t.waist)
 
@@ -280,9 +288,9 @@ def mentioned_constants(ax: Axiom, t: EqTheory) -> list[str]:
     todo: list[Term] = [ax.lhs, ax.rhs]
     while todo:
         n = todo.pop()
-        if isinstance(n, App):
+        if type(n) is App:
             todo += (n.fn, n.arg)
-        elif isinstance(n, Sym):
+        elif type(n) is Sym:
             mentioned.add(n.name)
     return [c for c in t.constants() if c in mentioned]
 
@@ -296,14 +304,15 @@ class RenameScheme(NamedTuple):
 
     suffix: str
 
-    def mapping_for(self, t: EqTheory) -> dict[str, str]:
+    def mapping_for(self, t: EqTheory, ops: list[str | None] | None = None) -> dict[str, str]:
+        """The map for ``t``; ``ops`` is :func:`associativity_op` of each
+        axiom, if the caller has it already."""
         if not self.suffix:
             return {}
         mapping = {t.sort.name: t.sort.name + self.suffix}
         for f in t.func_types:
             mapping[f.name] = f.name + self.suffix
-        for ax in t.axioms:
-            op = associativity_op(ax)
+        for ax, op in zip(t.axioms, ops or map(associativity_op, t.axioms)):
             if op is not None:
                 mapping[ax.name] = "associative_" + mapping[op]
                 continue

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from conftest import read_data
@@ -10,6 +12,18 @@ from theoryforge.checker import (
     UNBOUND_NAME,
     check_module,
     format_errors,
+)
+from theoryforge.ast import (
+    App,
+    Equation,
+    RecordDecl,
+    SetKind,
+    SortRef,
+    Structure,
+    Sym,
+    TyApp,
+    decl_member_names,
+    spine,
 )
 from theoryforge.generators import gen_all, prod_decl
 from theoryforge.parser import parse_file
@@ -148,9 +162,11 @@ N_RECORD = "record N (A : Set) (e : A) : Set where\n\n"
             "record MHom (A1 : Set) (e1 : A1) (M1 : M A1 e1) : Set where\n",
             ["m:5:45: SortMismatch: argument 'e1' of 'M' has type A1, expected (x : A1) → x == x"],
         ),
+        # a data type without parameters applied to itself, in its own declaration
+        ("data D : Set where c : D D → D", ["m:1:24: ArityMismatch: type 'D' expects 0 argument(s), got 1"]),
     ],
     ids=["type-for-term-and-term-for-type", "term-argument", "unknown-term", "type-application-for-term",
-         "dependent-parameter", "axiom-parameter"],
+         "dependent-parameter", "axiom-parameter", "self-applied-data"],
 )
 def test_type_application_arguments_are_checked_against_the_parameters(source, lines):
     assert format_errors(check_module(parse_file(source)), "m").splitlines() == lines
@@ -199,3 +215,98 @@ def test_checker_is_pure_given_snapshot(monoid_decl):
     before = (dict(ctx.type_arity), set(ctx.used_member_names))
     check_decl(monoid_decl, ctx)
     assert (dict(ctx.type_arity), set(ctx.used_member_names)) == before
+
+
+# -- pinned error lines on mutated library modules --------------------------------
+
+
+def _nodes(ty):
+    """Every node of a type expression, terms included."""
+    todo = [ty]
+    while todo:
+        n = todo.pop()
+        yield n
+        if isinstance(n, Structure):
+            todo += [v for f in n.__slots__ if f != "pos" for v in _children(getattr(n, f))]
+
+
+def _children(value):
+    return value if isinstance(value, list) else [value] if isinstance(value, Structure) else []
+
+
+def _drop_last_projection_argument(t, fields):
+    """``t`` with the last argument dropped from every projection of a
+    field in ``fields`` (``op Mo1 x1 x2`` becomes ``op Mo1 x1``)."""
+    if not isinstance(t, App):
+        return t
+    head, args = spine(t)
+    args = [_drop_last_projection_argument(a, fields) for a in args]
+    if isinstance(head, Sym) and head.name in fields:
+        args.pop()
+    for a in args:
+        head = App(head, a, t.pos)
+    return head
+
+
+def _members(d):
+    return d.fields if isinstance(d, RecordDecl) else d.constructors
+
+
+def _mutated_modules(text):
+    """Three mutants of one module text, each reparsed from the text and
+    changed in place: every projection of a source field loses its last
+    argument; the two instances trade places in every ``pres-*`` field;
+    and in every declaration the first sort parameter is renamed, in its
+    uses only, to a name nothing binds."""
+    decls = parse_file(text)
+    fields = set(decl_member_names(decls[0]))
+    for d in decls[1:]:
+        for m in _members(d):
+            for n in _nodes(m.ty):
+                if isinstance(n, Equation):
+                    n.lhs = _drop_last_projection_argument(n.lhs, fields)
+                    n.rhs = _drop_last_projection_argument(n.rhs, fields)
+    yield decls
+
+    decls = parse_file(text)
+    source = decls[0].name
+    for d in decls:
+        instances = [n for b in d.params if isinstance(b.ty, TyApp) and b.ty.head == source for n in b.names]
+        if len(instances) == 2:
+            swap = dict(zip(instances, reversed(instances)))
+            for m in _members(d):
+                if "pres-" in m.name:
+                    for n in _nodes(m.ty):
+                        if isinstance(n, Sym) and n.name in swap:
+                            n.name = swap[n.name]
+    yield decls
+
+    decls = parse_file(text)
+    for d in decls:
+        sorts = [n for b in d.params if isinstance(b.ty, SetKind) for n in b.names]
+        for m in _members(d) if sorts else []:
+            for n in _nodes(m.ty):
+                if isinstance(n, SortRef) and n.name == sorts[0]:
+                    n.name = "Unbound"
+    yield decls
+
+
+def test_error_lines_on_mutated_library_modules_are_pinned(library):
+    # kind, message and position of every error, in order, over three
+    # mutants of each of the 62 all-seven standard.lib modules
+    from theoryforge.cli import RunConfig, generate_for_theory
+    from theoryforge.generators import GenKind
+
+    cfg = RunConfig(kinds=tuple(GenKind))
+    digest = hashlib.sha256()
+    lines = 0
+    kinds = set()
+    for t in library.theories():
+        for decls in _mutated_modules(generate_for_theory(t, cfg).module_text):
+            errors = check_module(decls)
+            kinds.update(e.kind for e in errors)
+            lines += len(errors)
+            digest.update((format_errors(errors, t.name) + "\n").encode())
+    assert kinds == {ARITY_MISMATCH, SORT_MISMATCH, UNBOUND_NAME}
+    assert lines == 4476
+    assert digest.hexdigest() == "645c4dc193ccf2849cf649c559bc2b6b88b02e7122640152438f64b13b36e93d"

@@ -17,6 +17,7 @@ from conftest import DATA, tree_hash
 from theoryforge.ast import Arrow, Constr, DataDecl, SortRef
 from theoryforge.cli import _process_count, build_config, cmd_gen, main
 from theoryforge.combinators import standard_library_path
+from theoryforge.generators import GenKind
 from theoryforge.parser import parse_file
 
 
@@ -590,6 +591,19 @@ def test_gen_failure_names_the_first_failing_theory_on_any_number_of_processes(w
                 f"{source}: W: homomorphisms need the carrier as a record parameter (waist >= 1)\n"
             )
 
+
+
+def test_a_write_that_fails_part_way_leaves_none_of_the_theorys_files(workdir, capsys):
+    # the files are written in name order: A1End ... A1Prod go out before
+    # A1Sig, where a directory stands, and module.gen.eqt would come last
+    source = workdir / "a1.eqt"
+    source.write_text(_plain("A1"), encoding="utf-8")
+    (workdir / "out" / "A1" / "A1Sig.gen.eqt").mkdir(parents=True)
+    argv = ["gen", str(source), "--constructions", ",".join(k.value for k in GenKind), "--out", "out"]
+    assert main([*argv, "--jobs", "1"]) == 3
+    assert capsys.readouterr().err.startswith(f"{source}: cannot write to out: ")
+    assert [p.name for p in (workdir / "out" / "A1").iterdir()] == ["A1Sig.gen.eqt"]
+    assert (workdir / "out" / "A1" / "A1Sig.gen.eqt").is_dir()
 
 # each record passes check, and at the parent of the fresh-name supply each
 # one failed under gen with all seven constructions
