@@ -15,12 +15,17 @@ one base, :class:`Structure`, whose ``==`` compares every slot but ``pos``:
 one loop over an explicit stack, so comparing trees of any depth never
 raises ``RecursionError``.  They are mutable and unhashable, and their
 ``repr`` lists every slot, ``pos`` included; it walks an explicit stack too.
+
+A class lists its fields once, in ``__slots__``, in constructor order; its
+optional fields take their defaults from the class attribute ``_defaults``
+(``pos=None`` for all, ``hidden=False`` for a binder).  No class writes
+``__init__``: :class:`Structure` generates it from those two.
 """
 
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Any, Container, Mapping, TypeAlias, TypeVar, Union
+from typing import Any, ClassVar, Container, Mapping, TypeAlias, TypeVar, Union
 
 Pos: TypeAlias = "tuple[int, int]"
 
@@ -36,12 +41,29 @@ class Structure:
     ``pos`` are equal; another class gives ``NotImplemented``.  The two
     structures are walked side by side on an explicit stack of pairs: two
     structures of one class push their slots but ``pos``, two lists of one
-    length their items, and anything else is compared with ``!=``.  A
-    class lists its fields once, in ``__slots__``, in the constructor's
-    order; ``repr`` (:func:`write_repr`) reads them too.
+    length their items, and anything else is compared with ``!=``.
+
+    A subclass lists its fields once, in ``__slots__``, in the constructor's
+    order, and the optional ones, a suffix of them, with their defaults in
+    ``_defaults``; ``repr`` (:func:`write_repr`) reads the slots too.  It
+    writes no ``__init__``: each subclass with slots gets one that assigns
+    its parameters to its slots in turn, compiled from source so that it
+    runs the bytecode a hand-written one would.
     """
 
     __slots__ = ()
+    _defaults: ClassVar[dict[str, Any]] = {"pos": None}
+
+    def __init_subclass__(cls) -> None:
+        if "__init__" in cls.__dict__:
+            raise TypeError(f"{cls.__qualname__} writes __init__; list its fields in __slots__ instead")
+        fields = cls.__slots__
+        if fields:
+            params = "".join(f", {f}=_defaults[{f!r}]" if f in cls._defaults else f", {f}" for f in fields)
+            body = "".join(f"\n    self.{f} = {f}" for f in fields)
+            namespace = {"__name__": cls.__module__, "_defaults": cls._defaults}
+            exec(f"def __init__(self{params}):{body}", namespace)
+            cls.__init__ = namespace["__init__"]
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -107,25 +129,15 @@ def write_repr(x: Any, base: type, fields: str) -> str:
     return "".join(out)
 
 
-class _Named(Structure):
-    """A leaf that is its name: ``Var``, ``Sym`` or ``SortRef``."""
-
-    __slots__ = ()
-
-    def __init__(self, name: str, pos: Pos | None = None):
-        self.name = name
-        self.pos = pos
-
-
 # -- terms -------------------------------------------------------------------
 
-class Var(_Named):
+class Var(Structure):
     """A bound variable occurrence (bound by an enclosing quantifier)."""
 
     __slots__ = ("name", "pos")
 
 
-class Sym(_Named):
+class Sym(Structure):
     """A declared symbol occurrence (a function symbol, field, or instance)."""
 
     __slots__ = ("name", "pos")
@@ -133,11 +145,6 @@ class Sym(_Named):
 
 class App(Structure):
     __slots__ = ("fn", "arg", "pos")
-
-    def __init__(self, fn: Term, arg: Term, pos: Pos | None = None):
-        self.fn = fn
-        self.arg = arg
-        self.pos = pos
 
 
 Term: TypeAlias = Union[Var, Sym, App]
@@ -167,60 +174,32 @@ class SetKind(Structure):
 
     __slots__ = ("pos",)
 
-    def __init__(self, pos: Pos | None = None):
-        self.pos = pos
 
-
-class SortRef(_Named):
+class SortRef(Structure):
     __slots__ = ("name", "pos")
 
 
 class TyApp(Structure):
     __slots__ = ("head", "args", "pos")
 
-    def __init__(self, head: str, args: list[TypeExpr], pos: Pos | None = None):
-        self.head = head
-        self.args = args
-        self.pos = pos
-
 
 class Arrow(Structure):
     __slots__ = ("dom", "cod", "pos")
-
-    def __init__(self, dom: TypeExpr, cod: TypeExpr, pos: Pos | None = None):
-        self.dom = dom
-        self.cod = cod
-        self.pos = pos
 
 
 class Binder(Structure):
     """One binder group, ``(x y : T)`` or ``{x y : T}``."""
 
     __slots__ = ("names", "ty", "hidden", "pos")
-
-    def __init__(self, names: list[str], ty: TypeExpr, hidden: bool = False, pos: Pos | None = None):
-        self.names = names
-        self.ty = ty
-        self.hidden = hidden
-        self.pos = pos
+    _defaults = {**Structure._defaults, "hidden": False}
 
 
 class Quant(Structure):
     __slots__ = ("binders", "body", "pos")
 
-    def __init__(self, binders: list[Binder], body: TypeExpr, pos: Pos | None = None):
-        self.binders = binders
-        self.body = body
-        self.pos = pos
-
 
 class Equation(Structure):
     __slots__ = ("lhs", "rhs", "pos")
-
-    def __init__(self, lhs: Term, rhs: Term, pos: Pos | None = None):
-        self.lhs = lhs
-        self.rhs = rhs
-        self.pos = pos
 
 
 TypeExpr: TypeAlias = Union[SetKind, SortRef, TyApp, Arrow, Quant, Equation]
@@ -324,38 +303,13 @@ class Constr(Structure):
 
     __slots__ = ("name", "ty", "pos")
 
-    def __init__(self, name: str, ty: TypeExpr, pos: Pos | None = None):
-        self.name = name
-        self.ty = ty
-        self.pos = pos
-
 
 class RecordDecl(Structure):
     __slots__ = ("name", "params", "constructor_name", "fields", "pos")
 
-    def __init__(
-        self,
-        name: str,
-        params: list[Binder],
-        constructor_name: str,
-        fields: list[Constr],
-        pos: Pos | None = None,
-    ):
-        self.name = name
-        self.params = params
-        self.constructor_name = constructor_name
-        self.fields = fields
-        self.pos = pos
-
 
 class DataDecl(Structure):
     __slots__ = ("name", "params", "constructors", "pos")
-
-    def __init__(self, name: str, params: list[Binder], constructors: list[Constr], pos: Pos | None = None):
-        self.name = name
-        self.params = params
-        self.constructors = constructors
-        self.pos = pos
 
 
 Decl: TypeAlias = Union[RecordDecl, DataDecl]

@@ -93,7 +93,6 @@ class CheckContext:
     """Module-level naming context, threaded across declarations."""
 
     def __init__(self) -> None:
-        self.type_arity: dict[str, int] = {}
         self.type_params: dict[str, list[tuple[str, TypeExpr]]] = {}
         self.records: dict[str, _RecordInfo] = {}
         self.field_owner: dict[str, str] = {}
@@ -105,7 +104,6 @@ class CheckContext:
         Call after :func:`check_decl`; registration is best-effort even for
         declarations that had errors."""
         params = [(n, b.ty) for b in d.params for n in b.names]
-        self.type_arity.setdefault(d.name, len(params))
         self.type_params.setdefault(d.name, params)
         if isinstance(d, RecordDecl):
             sorts = [i for i, (_, ty) in enumerate(params) if isinstance(ty, SetKind)]
@@ -152,7 +150,7 @@ class _DeclChecker:
         return self.errors
 
     def _check_decl_name(self) -> None:
-        if self.decl.name in self.ctx.type_arity:
+        if self.decl.name in self.ctx.type_params:
             self.error(
                 DUPLICATE_FIELD,
                 f"declaration name {self.decl.name!r} is already defined in this module",
@@ -235,10 +233,10 @@ class _DeclChecker:
         n = ty.name
         if n in self.local_sorts or n == self.self_data:
             return
-        arity = self.ctx.type_arity.get(n)
-        if arity is not None:
-            if arity != 0:
-                self.error(ARITY_MISMATCH, f"type {n!r} expects {arity} argument(s), got 0", ty.pos)
+        params = self.ctx.type_params.get(n)
+        if params is not None:
+            if params:
+                self.error(ARITY_MISMATCH, f"type {n!r} expects {len(params)} argument(s), got 0", ty.pos)
             return
         self._not_a_type(n, bound, ty.pos)
 
@@ -302,7 +300,7 @@ class _DeclChecker:
                         a.pos,
                     )
                 return
-            if name in self.local_sorts or name in self.ctx.type_arity or name == self.self_data:
+            if name in self.local_sorts or name in self.ctx.type_params or name == self.self_data:
                 self.error(SORT_MISMATCH, f"{name!r} is a type, not a term", a.pos)
                 return
             if name not in self.ctx.used_member_names:
@@ -342,7 +340,7 @@ class _DeclChecker:
         ctor = self.ctx.data_ctors.get(name)
         if ctor is not None:
             data_name, ty = ctor
-            if self.ctx.type_arity.get(data_name, 0) != 0:
+            if self.ctx.type_params.get(data_name):
                 self.error(
                     SORT_MISMATCH,
                     f"constructor {name!r} of parameterized type {data_name!r} cannot be used here",
@@ -351,7 +349,7 @@ class _DeclChecker:
                 return None
             return self._apply(name, ty, args, bound, pos)
 
-        if name in self.local_sorts or name in self.ctx.type_arity:
+        if name in self.local_sorts or name in self.ctx.type_params:
             self.error(SORT_MISMATCH, f"{name!r} is a type, not a term", pos)
             return None
         self.error(UNBOUND_NAME, f"unknown name {name!r}", pos)

@@ -28,7 +28,6 @@ from .ast import (
     Binder,
     Constr,
     Equation,
-    Pos,
     Quant,
     RecordDecl,
     SetKind,
@@ -57,18 +56,6 @@ class CollisionError(Exception):
 class Axiom(Structure):
     __slots__ = ("name", "binders", "lhs", "rhs", "pos")
 
-    def __init__(self, name: str, binders: list[Binder], lhs: Term, rhs: Term, pos: Pos | None = None):
-        self.name = name
-        self.binders = binders
-        self.lhs = lhs
-        self.rhs = rhs
-        self.pos = pos
-
-    @property
-    def vars(self) -> list[tuple[str, TypeExpr]]:
-        """Quantified variables flattened in binding order."""
-        return [(n, b.ty) for b in self.binders for n in b.names]
-
     @property
     def var_names(self) -> list[str]:
         return [n for b in self.binders for n in b.names]
@@ -81,13 +68,6 @@ class Axiom(Structure):
 
 class EqTheory(Structure):
     __slots__ = ("name", "sort", "func_types", "axioms", "waist")
-
-    def __init__(self, name: str, sort: Constr, func_types: list[Constr], axioms: list[Axiom], waist: int):
-        self.name = name
-        self.sort = sort
-        self.func_types = func_types
-        self.axioms = axioms
-        self.waist = waist
 
     @property
     def arities(self) -> dict[str, int]:

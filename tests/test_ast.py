@@ -3,6 +3,7 @@ classes: structural ``==`` that ignores positions and never recurses."""
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import sys
 
@@ -196,6 +197,66 @@ def test_repr_lists_every_field_in_constructor_order():
         "EqTheory(name='T', sort=Constr(name='A', ty=SetKind(pos=None), pos=None),"
         " func_types=[], axioms=[], waist=1)"
     )
+
+
+# every constructor's parameters, in order, with the defaults of the optional
+# ones: what callers across the package and outside it rely on
+CONSTRUCTORS = {
+    App: ("fn", "arg", ("pos", None)),
+    Arrow: ("dom", "cod", ("pos", None)),
+    Axiom: ("name", "binders", "lhs", "rhs", ("pos", None)),
+    Binder: ("names", "ty", ("hidden", False), ("pos", None)),
+    Constr: ("name", "ty", ("pos", None)),
+    DataDecl: ("name", "params", "constructors", ("pos", None)),
+    EqTheory: ("name", "sort", "func_types", "axioms", "waist"),
+    Equation: ("lhs", "rhs", ("pos", None)),
+    Quant: ("binders", "body", ("pos", None)),
+    RecordDecl: ("name", "params", "constructor_name", "fields", ("pos", None)),
+    SetKind: (("pos", None),),
+    SortRef: ("name", ("pos", None)),
+    Sym: ("name", ("pos", None)),
+    TyApp: ("head", "args", ("pos", None)),
+    Var: ("name", ("pos", None)),
+}
+
+
+@pytest.mark.parametrize("cls", CONSTRUCTORS, ids=lambda cls: cls.__name__)
+def test_each_constructor_takes_its_fields_in_order_with_their_defaults(cls):
+    params = list(inspect.signature(cls).parameters.values())
+    assert [p.kind for p in params] == [inspect.Parameter.POSITIONAL_OR_KEYWORD] * len(params)
+    assert tuple(p.name if p.default is p.empty else (p.name, p.default) for p in params) == CONSTRUCTORS[cls]
+    names = [p.name for p in params]
+    values = [f"{cls.__name__}.{n}" for n in names]
+    for x in (cls(*values), cls(**dict(zip(names, values)))):
+        assert [getattr(x, n) for n in names] == values
+    required = [p.name for p in params if p.default is p.empty]
+    x = cls(*required)
+    assert [getattr(x, p.name) for p in params] == [p.name if p.default is p.empty else p.default for p in params]
+    with pytest.raises(TypeError):
+        cls(*values, None)
+
+
+def test_every_structure_class_has_a_pinned_constructor():
+    assert set(CONSTRUCTORS) == set(STRUCTURE_CLASSES)
+
+
+def test_a_new_structure_class_is_its_slots_and_defaults():
+    class Pair(Structure):
+        __slots__ = ("left", "right", "pos")
+        _defaults = {**Structure._defaults, "right": "r"}
+
+    p, q = Pair("l"), Pair("l", pos=(1, 2), right="x")
+    assert (p.left, p.right, p.pos, q.left, q.right, q.pos) == ("l", "r", None, "l", "x", (1, 2))
+    assert Pair("l") == Pair("l", "r", (3, 4)) != Pair("l", "x")
+    with pytest.raises(TypeError, match=r"__init__\(\) missing 1 required positional argument: 'left'"):
+        Pair()
+    with pytest.raises(TypeError, match="writes __init__"):
+
+        class Own(Structure):
+            __slots__ = ("pos",)
+
+            def __init__(self, pos=None):
+                self.pos = pos
 
 
 # -- == and repr against recursive references ------------------------------------------

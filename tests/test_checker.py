@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import hashlib
 
 import pytest
@@ -172,6 +173,29 @@ def test_type_application_arguments_are_checked_against_the_parameters(source, l
     assert format_errors(check_module(parse_file(source)), "m").splitlines() == lines
 
 
+NAT_AND_LIST = (
+    "data Nat : Set where\n  z : Nat\n  s : Nat → Nat\n\n"
+    "data L (X : Set) : Set where\n  nil : L X\n\n"
+    "record R (A : Set) : Set where\n  field\n    n : Nat\n"
+)
+
+
+@pytest.mark.parametrize(
+    "field, lines",
+    [
+        ("w : n == s z", []),
+        ("w : n == nil", ["m:11:14: SortMismatch: constructor 'nil' of parameterized type 'L' cannot be used here"]),
+        ("w : n == Nat", ["m:11:14: SortMismatch: 'Nat' is a type, not a term"]),
+        ("w : n == q", ["m:11:14: UnboundName: unknown name 'q'"]),
+        ("w : (x : A) → x x == x", ["m:11:19: ArityMismatch: variable 'x' cannot be applied"]),
+    ],
+    ids=["data-constructor", "parameterized-constructor", "type-for-term", "unknown-name", "applied-variable"],
+)
+def test_the_head_of_a_term_is_looked_up_by_what_it_names(field, lines):
+    source = NAT_AND_LIST + f"    {field}\n"
+    assert format_errors(check_module(parse_file(source)), "m").splitlines() == lines
+
+
 def test_an_applied_field_in_a_type_is_a_term_not_a_type():
     source = "record M (A : Set) : Set where\n  field\n    r : A → A → Set\n    refl : (x : A) → r x x\n"
     assert format_errors(check_module(parse_file(source)), "m") == "m:4:22: SortMismatch: 'r' is a term, not a type"
@@ -212,9 +236,13 @@ def test_checker_is_pure_given_snapshot(monoid_decl):
     from theoryforge.checker import CheckContext, check_decl
 
     ctx = CheckContext()
-    before = (dict(ctx.type_arity), set(ctx.used_member_names))
-    check_decl(monoid_decl, ctx)
-    assert (dict(ctx.type_arity), set(ctx.used_member_names)) == before
+    for d in parse_file(NAT_AND_LIST):
+        ctx.register(d)
+    before = copy.deepcopy(vars(ctx))
+    assert all(before.values())  # every table holds something
+    for d in [monoid_decl, *parse_file(NAT_AND_LIST)]:
+        check_decl(d, ctx)
+        assert vars(ctx) == before
 
 
 # -- pinned error lines on mutated library modules --------------------------------

@@ -860,6 +860,31 @@ def test_config_file_rejects_misspelt_orient_assoc(workdir, capsys):
     assert not (workdir / "generated").exists()
 
 
+def test_config_file_skips_comments_and_blank_lines_and_reads_orient_assoc(workdir):
+    (workdir / "theoryforge.cfg").write_text("# defaults\n\n   \n  # indented\norient-assoc = yes\n", encoding="utf-8")
+    ns = argparse.Namespace(constructions=None, out=None, suffix=None, jobs=None, orient_assoc=False)
+    cfg = build_config(ns, cwd=workdir)
+    assert cfg.force_orient_assoc is True
+    assert (cfg.jobs, cfg.out_dir) == (None, Path("generated"))
+
+
+@pytest.mark.parametrize(
+    "config, flags, message",
+    [
+        ("nonsense\n", [], "{cfg}: malformed line 'nonsense'"),
+        (None, ["--suffix", "sigS"], "--suffix expects KIND=STR, got 'sigS'"),
+    ],
+    ids=["config-line-without-equals", "suffix-without-equals"],
+)
+def test_a_setting_without_an_equals_sign_exits_3(workdir, capsys, config, flags, message):
+    copy_fixture("monoid.eqt", workdir)
+    if config is not None:
+        (workdir / "theoryforge.cfg").write_text(config, encoding="utf-8")
+    assert main(["gen", "monoid.eqt", *flags]) == 3
+    assert capsys.readouterr().err == message.format(cfg=workdir / "theoryforge.cfg") + "\n"
+    assert not (workdir / "generated").exists()
+
+
 def test_config_file_rejects_duplicate_key(workdir, capsys):
     copy_fixture("monoid.eqt", workdir)
     (workdir / "theoryforge.cfg").write_text("out = a\nout = b\n", encoding="utf-8")

@@ -688,6 +688,56 @@ def test_eval_term_fails_like_the_recursive_version(library, name, forced):
     assert {"index", "has", "expects"} <= kinds, kinds
 
 
+# rules of shapes that no library theory has: a right-hand side with a
+# variable after its first operation node (``later``), a left-hand side that
+# every term with its head matches, which shadows the rule after it
+# (``first``), and an operation of three arguments
+SHAPES = extract(
+    parse_decl(
+        "record Shapes (A : Set) : Set where\n  field\n"
+        "    e : A\n    g : A → A\n    f : A → A → A\n    h : A → A → A\n"
+        "    p : A → A → A\n    k : A → A → A → A\n"
+        "    later : (x y : A) → f (g x) y == h e y\n"
+        "    first : (x y : A) → p x y == x\n"
+        "    shadowed : (x y : A) → p (g x) y == y\n"
+        "    swap : (x y : A) → k x y e == h y x\n"
+    )
+)
+SHAPE_RULES = rules_for_theory(SHAPES)
+
+
+def test_the_shape_rules_reach_the_paths_they_are_for():
+    later, first, shadowed, _ = SHAPE_RULES
+    assert [r.source_axiom for r in SHAPE_RULES] == ["later", "first", "shadowed", "swap"]
+    lead, rest, rest_vars = later.plan
+    assert lead == () and rest_vars
+    g_e = TOp("g", (E,))
+    assert SHAPE_RULES.dispatch["p"]((g_e, E)) == (first, {0: g_e, 1: E})
+    assert shadowed.lhs == TOp("p", (TOp("g", (TVar(0),)), TVar(1)))
+    assert SHAPES.arities["k"] == 3
+
+
+@settings(max_examples=60)
+@given(_terms(SHAPES.arities, 4))
+def test_normalize_is_normal_and_eval_term_agree_with_the_references_on_the_shape_rules(t):
+    for fuel in range(1, default_fuel(t) + 1):
+        expected = _reference_normalize(t, SHAPE_RULES, fuel)
+        try:
+            result = normalize(t, SHAPE_RULES, fuel)
+        except FuelExhausted as exhausted:
+            assert exhausted.partial == expected
+            assert not _reference_is_normal(expected, SHAPE_RULES)
+        else:
+            assert result == expected
+            assert _reference_is_normal(expected, SHAPE_RULES)
+    assert is_normal(t, SHAPE_RULES) == _reference_is_normal(t, SHAPE_RULES)
+    env = ("x", "y", "z")
+    logs = ([], [])
+    value = eval_term(t, _logging_model(SHAPES.arities, logs[0]), env)
+    assert value == _reference_eval_term(t, _logging_model(SHAPES.arities, logs[1]), env)
+    assert logs[0] == logs[1]
+
+
 def _random_term(arities, rng, height):
     constants = sorted(sym for sym, n in arities.items() if n == 0)
     if height <= 1 or rng.random() < 0.3:

@@ -224,6 +224,7 @@ _HEADER = "record M (A : Set) : Set where\n  field\n"
         ("data D : Set where\n  c : D D ==", "2:13: expected a type expression, got ''"),
         ("data D : Set where\n  c : (", "2:8: expected a type expression, got ''"),
         (_HEADER + "    ax : (A → A) == A", "3:13: expected a term on this side of '=='"),
+        (_HEADER + "    f : Set == Set", "3:9: expected a term on this side of '=='"),
         (_HEADER + "    f : {x : A} A", "3:17: expected 'ARROW', got 'A' (expected one of: ARROW)"),
         (_HEADER + "    f : A\r\n    g : A =",
          "4:11: expected 'record' or 'data', got '=' (expected one of: data, record)"),

@@ -75,6 +75,12 @@ def test_arrow_domain_parenthesized_only_when_needed():
     assert roundtrips(d)
 
 
+def test_a_type_argument_that_is_an_application_keeps_its_parentheses():
+    d = parse_decl("record M (A : Set) (t : T (P A A)) : Set where")
+    assert print_decl(d) == "record M (A : Set) (t : T (P A A)) : Set where\n  constructor MC"
+    assert roundtrips(d)
+
+
 def test_printing_is_deterministic(monoid):
     texts = {print_module([embed(monoid)] + gen_all(monoid)) for _ in range(3)}
     assert len(texts) == 1
