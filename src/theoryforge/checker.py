@@ -10,15 +10,23 @@ and one of four kinds: ``UnboundName``, ``ArityMismatch``, ``SortMismatch``,
 Member names (record fields, data constructors, record constructor names)
 share one namespace across the whole module being checked: generated
 records project fields by plain application (``op Mo1 x1 x2``), which only
-works if every member name is globally unambiguous.  Inside a ``data``
-declaration its own name stands bare or applied to all its parameters.
-Nodes are told apart by their exact class; a projected field's type is
-built once per carrier in each declaration.
+works if every member name is globally unambiguous.
+
+Every applied name in a type, bare ones included as applications to zero
+arguments, is looked up innermost first: a local sort (which takes no
+arguments), then the declaration's own name (a ``data`` type stands bare or
+applied to all its parameters), then a type of the module (applied to all
+its parameters).  A type application and a projection put arguments in for
+parameters by one rule: each parameter stands for its argument in types,
+and a term parameter for its argument's name in terms.  A projected field's
+type is the field's own type with the instance type's arguments put in for
+all of the owner record's parameters.  Nodes are told apart by their exact
+class.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .ast import (
     Arrow,
@@ -83,10 +91,11 @@ def _same_sort(a: TypeExpr, b: TypeExpr) -> bool:
     return True
 
 
-class _RecordInfo(NamedTuple):
-    params: list[tuple[str, TypeExpr]]
-    fields: dict[str, TypeExpr]
-    sort_index: int | None  # of the unique Set-typed parameter, if there is exactly one
+def _put_in(p: str, a: TypeExpr, sorts: dict[str, TypeExpr], syms: dict[str, str]) -> None:
+    """Parameter ``p`` stands for argument ``a`` in types and, if ``a`` is a name, in terms."""
+    sorts[p] = a
+    if type(a) is SortRef:
+        syms[p] = a.name
 
 
 class CheckContext:
@@ -94,8 +103,7 @@ class CheckContext:
 
     def __init__(self) -> None:
         self.type_params: dict[str, list[tuple[str, TypeExpr]]] = {}
-        self.records: dict[str, _RecordInfo] = {}
-        self.field_owner: dict[str, str] = {}
+        self.fields: dict[str, tuple[str, TypeExpr]] = {}  # name → (owner, type)
         self.data_ctors: dict[str, tuple[str, TypeExpr]] = {}
         self.used_member_names: set[str] = set()
 
@@ -106,11 +114,8 @@ class CheckContext:
         params = [(n, b.ty) for b in d.params for n in b.names]
         self.type_params.setdefault(d.name, params)
         if isinstance(d, RecordDecl):
-            sorts = [i for i, (_, ty) in enumerate(params) if isinstance(ty, SetKind)]
-            info = _RecordInfo(params, {f.name: f.ty for f in d.fields}, sorts[0] if len(sorts) == 1 else None)
-            self.records.setdefault(d.name, info)
             for f in d.fields:
-                self.field_owner.setdefault(f.name, d.name)
+                self.fields.setdefault(f.name, (d.name, f.ty))
                 self.used_member_names.add(f.name)
             self.used_member_names.add(d.constructor_name)
         else:
@@ -127,7 +132,6 @@ class _DeclChecker:
         self.local_sorts: set[str] = set()
         self.local_terms: dict[str, TypeExpr] = {}
         self.self_data = d.name if isinstance(d, DataDecl) else None
-        self.projected: dict[tuple[str, str], TypeExpr] = {}
 
     def error(self, kind: str, message: str, pos: Pos | None) -> None:
         self.errors.append(CheckError(kind, message, pos or self.decl.pos))
@@ -191,7 +195,7 @@ class _DeclChecker:
         # exact class tests: the node classes are never subclassed
         cls = type(ty)
         if cls is SortRef:
-            self._check_sort_ref(ty, bound)
+            self._check_ty_app(ty.name, (), ty.pos, bound)
             return
         if cls is Equation:
             lhs_sort = self.infer_sort(ty.lhs, bound)
@@ -205,7 +209,7 @@ class _DeclChecker:
                 )
             return
         if cls is TyApp:
-            self._check_ty_app(ty, bound)
+            self._check_ty_app(ty.head, ty.args, ty.pos, bound)
             return
         if cls is SetKind:
             return
@@ -229,17 +233,6 @@ class _DeclChecker:
             cls = type(ty)
         self.check_type(ty, bound)
 
-    def _check_sort_ref(self, ty: SortRef, bound: dict[str, TypeExpr]) -> None:
-        n = ty.name
-        if n in self.local_sorts or n == self.self_data:
-            return
-        params = self.ctx.type_params.get(n)
-        if params is not None:
-            if params:
-                self.error(ARITY_MISMATCH, f"type {n!r} expects {len(params)} argument(s), got 0", ty.pos)
-            return
-        self._not_a_type(n, bound, ty.pos)
-
     def _not_a_type(self, n: str, bound: dict[str, TypeExpr], pos: Pos | None) -> None:
         """Report ``n``, which names no type, where a type is expected."""
         if n in bound or n in self.local_terms or n in self.ctx.used_member_names:
@@ -247,23 +240,26 @@ class _DeclChecker:
         else:
             self.error(UNBOUND_NAME, f"unknown type {n!r}", pos)
 
-    def _check_ty_app(self, ty: TyApp, bound: dict[str, TypeExpr]) -> None:
-        n = ty.head
+    def _check_ty_app(self, n: str, args: Sequence[TypeExpr], pos: Pos | None, bound: dict[str, TypeExpr]) -> None:
+        """Check ``n`` applied to ``args``; a bare name has no arguments."""
+        if n in self.local_sorts:
+            if args:
+                self.error(ARITY_MISMATCH, f"sort {n!r} takes no arguments", pos)
+            return
         if n == self.self_data:
+            if not args:
+                return
             params = [(x, b.ty) for b in self.decl.params for x in b.names]
         else:
             params = self.ctx.type_params.get(n)
-        if params is None:
-            if n in self.local_sorts:
-                self.error(ARITY_MISMATCH, f"sort {n!r} takes no arguments", ty.pos)
-            else:
-                self._not_a_type(n, bound, ty.pos)
-            return
-        if len(ty.args) != len(params):
+            if params is None:
+                self._not_a_type(n, bound, pos)
+                return
+        if len(args) != len(params):
             self.error(
                 ARITY_MISMATCH,
-                f"type {n!r} expects {len(params)} argument(s), got {len(ty.args)}",
-                ty.pos,
+                f"type {n!r} expects {len(params)} argument(s), got {len(args)}",
+                pos,
             )
         # A Set parameter takes a type; a term parameter (for telescoped
         # records, e.g. an instance over a lifted constant) takes a name
@@ -272,7 +268,7 @@ class _DeclChecker:
         # parameter types cannot be read, so their arguments are not compared.
         sorts: dict[str, TypeExpr] = {}
         syms: dict[str, str] = {}
-        for a, (p, want) in zip(ty.args, params):
+        for a, (p, want) in zip(args, params):
             if isinstance(want, SetKind):
                 errors = len(self.errors)
                 self.check_type(a, bound)
@@ -280,9 +276,7 @@ class _DeclChecker:
                     return
             else:
                 self._check_term_arg(n, a, map_names(want, sorts, syms), bound)
-                if type(a) is SortRef:
-                    syms[p] = a.name
-            sorts[p] = a
+            _put_in(p, a, sorts, syms)
 
     def _check_term_arg(self, head: str, a: TypeExpr, want: TypeExpr, bound: dict[str, TypeExpr]) -> None:
         """``a`` stands for a term parameter of ``head`` of type ``want``:
@@ -333,9 +327,9 @@ class _DeclChecker:
         if name in self.local_terms:
             return self._apply(name, self.local_terms[name], args, bound, pos)
 
-        owner = self.ctx.field_owner.get(name)
-        if owner is not None and owner != self.decl.name:
-            return self._project(name, owner, args, bound, pos)
+        field = self.ctx.fields.get(name)
+        if field is not None and field[0] != self.decl.name:
+            return self._project(name, *field, args, bound, pos)
 
         ctor = self.ctx.data_ctors.get(name)
         if ctor is not None:
@@ -391,10 +385,9 @@ class _DeclChecker:
         return ty if ok else None
 
     def _project(
-        self, name: str, owner: str, args: list[Term], bound: dict[str, TypeExpr], pos: Pos | None
+        self, name: str, owner: str, field_ty: TypeExpr, args: list[Term], bound: dict[str, TypeExpr], pos: Pos | None
     ) -> TypeExpr | None:
         """Type a field projection written as application: ``f inst a1 .. an``."""
-        info = self.ctx.records[owner]
         if not args:
             self.error(
                 ARITY_MISMATCH,
@@ -405,7 +398,6 @@ class _DeclChecker:
         inst_ty = self.infer_sort(args[0], bound)
         if inst_ty is None:
             return None
-        inst_args: list[TypeExpr]
         if isinstance(inst_ty, TyApp) and inst_ty.head == owner:
             inst_args = inst_ty.args
         elif isinstance(inst_ty, SortRef) and inst_ty.name == owner:
@@ -418,22 +410,11 @@ class _DeclChecker:
                 pos,
             )
             return None
-        sort_index = info.sort_index
-        if sort_index is None or sort_index >= len(inst_args):
-            self.error(
-                SORT_MISMATCH,
-                f"record {owner!r} has no unique carrier parameter to project through",
-                pos,
-            )
-            return None
-        carrier = inst_args[sort_index]
-        # the field's type with the carrier put in, once per declaration
-        key = (name, carrier.name if type(carrier) is SortRef else print_type(carrier))
-        field_ty = self.projected.get(key)
-        if field_ty is None:
-            sorts = {info.params[sort_index][0]: carrier}
-            field_ty = self.projected[key] = map_names(info.fields[name], sorts)
-        return self._apply(name, field_ty, args[1:], bound, pos)
+        sorts: dict[str, TypeExpr] = {}
+        syms: dict[str, str] = {}
+        for a, (p, _) in zip(inst_args, self.ctx.type_params[owner]):
+            _put_in(p, a, sorts, syms)
+        return self._apply(name, map_names(field_ty, sorts, syms), args[1:], bound, pos)
 
 
 def check_decl(d: Decl, ctx: CheckContext) -> list[CheckError]:

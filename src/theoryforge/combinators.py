@@ -75,11 +75,10 @@ TheoryExpr = Union[Base, Extend, Rename, Combine]
 
 class Library:
     def __init__(self) -> None:
-        self.entries: list[TheoryExpr] = []
-        self.expanded: dict[str, EqTheory] = {}
+        self.expanded: dict[str, EqTheory] = {}  # in library order
 
     def theories(self) -> list[EqTheory]:
-        return [self.expanded[e.name] for e in self.entries]
+        return list(self.expanded.values())
 
 
 # -- expansion ---------------------------------------------------------------
@@ -171,7 +170,6 @@ def expand_library(entries: list[TheoryExpr]) -> Library:
             lib.expanded[e.name] = expand(e, lib)
         except (ShapeError, ClashError, CollisionError) as cause:
             raise LibraryError(e.name, cause) from cause
-        lib.entries.append(e)
     return lib
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
+import theoryforge
 from theoryforge.ast import Decl, RecordDecl
 from theoryforge.combinators import Library, load_library, standard_library_path
 from theoryforge.parser import parse_file
@@ -16,6 +17,10 @@ DATA = Path(__file__).parent / "data"
 # property tests draw the same examples on every run and carry no time limit
 settings.register_profile("theoryforge", derandomize=True, deadline=None)
 settings.load_profile("theoryforge")
+
+
+def pytest_report_header() -> str:
+    return f"theoryforge: {theoryforge.__file__}"
 
 
 def read_data(name: str) -> str:

@@ -115,7 +115,7 @@ def test_criterion_3_generation_soundness(library):
 
         mono = gen_monomorphism(t)
         assert len(mono.fields) == len(hom.fields) + 1
-    report(3, f"soundness properties over {len(library.entries)} theories")
+    report(3, f"soundness properties over {len(library.expanded)} theories")
 
 
 def _has_bare_sort(ty, sort: str) -> bool:

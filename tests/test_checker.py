@@ -4,6 +4,7 @@ import copy
 import hashlib
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import read_data
 from theoryforge.checker import (
@@ -165,9 +166,41 @@ N_RECORD = "record N (A : Set) (e : A) : Set where\n\n"
         ),
         # a data type without parameters applied to itself, in its own declaration
         ("data D : Set where c : D D → D", ["m:1:24: ArityMismatch: type 'D' expects 0 argument(s), got 1"]),
+        # a projection of the second of two records with one name: the field's own type is read
+        (
+            "record R (A : Set) : Set where\n  field\n    f : A\n\n"
+            "record R (A : Set) : Set where\n  field\n    g : A\n\n"
+            "record S (A : Set) (r : R A) : Set where\n  field\n    w : g r == g r\n",
+            [
+                "m:5:1: DuplicateField: declaration name 'R' is already defined in this module",
+                "m:5:1: DuplicateField: member name 'RC' is already used"
+                " (all field and constructor names must be distinct across the module)",
+            ],
+        ),
+        # projections put the instance's arguments in for every parameter of the owner
+        (
+            "record P (A B : Set) : Set where\n  field\n    f : A → B\n\n"
+            "record Q (X : Set) (p : P X X) : Set where\n  field\n    w : (x : X) → f p x == x\n",
+            [],
+        ),
+        (
+            "data D : Set where\n  d : D\n\nrecord U : Set where\n  field\n    u : D\n\n"
+            "record V (q : U) : Set where\n  field\n    w : u q == d\n",
+            [],
+        ),
+        # a local sort shadows a type of the module, bare or applied
+        (
+            "record Mo (A : Set) : Set where\n\nrecord R (Mo : Set) (X : Set) : Set where\n  field\n    g : Mo X\n",
+            ["m:5:9: ArityMismatch: sort 'Mo' takes no arguments"],
+        ),
+        ("record Mo (A : Set) : Set where\n\nrecord R (Mo : Set) : Set where\n  field\n    g : Mo\n", []),
+        ("record R (A : Set) : Set where\n  field\n    g : A A\n", ["m:3:9: ArityMismatch: sort 'A' takes no arguments"]),
+        ("record R (A : Set) (A : Set) : Set where\n", ["m:1:20: DuplicateField: parameter 'A' repeats an earlier name"]),
     ],
     ids=["type-for-term-and-term-for-type", "term-argument", "unknown-term", "type-application-for-term",
-         "dependent-parameter", "axiom-parameter", "self-applied-data"],
+         "dependent-parameter", "axiom-parameter", "self-applied-data", "projection-of-a-duplicate-record",
+         "projection-through-two-sorts", "projection-through-no-parameters", "shadowing-sort-applied",
+         "shadowing-sort-bare", "applied-sort", "repeated-parameter"],
 )
 def test_type_application_arguments_are_checked_against_the_parameters(source, lines):
     assert format_errors(check_module(parse_file(source)), "m").splitlines() == lines
@@ -194,6 +227,51 @@ NAT_AND_LIST = (
 def test_the_head_of_a_term_is_looked_up_by_what_it_names(field, lines):
     source = NAT_AND_LIST + f"    {field}\n"
     assert format_errors(check_module(parse_file(source)), "m").splitlines() == lines
+
+
+# declaration, parameter, member and bound names all come from three names,
+# so repeated and shadowed names are common
+_NAMES = st.sampled_from(["A", "B", "R"])
+_APPLIED = st.lists(_NAMES, min_size=1, max_size=3).map(" ".join)
+
+
+@st.composite
+def _types(draw, depth=2):
+    """A type: a name applied to names, an equation between two such
+    terms (projections among them), an arrow or a quantifier."""
+    kind = draw(st.sampled_from(["app", "equation", "arrow", "quantifier"] if depth else ["app"]))
+    if kind == "app":
+        return draw(_APPLIED)
+    if kind == "equation":
+        return f"{draw(_APPLIED)} == {draw(_APPLIED)}"
+    dom = draw(st.one_of(st.just("Set"), _types(depth - 1)))
+    cod = draw(_types(depth - 1))
+    if kind == "arrow":
+        return f"({dom}) → {cod}"
+    return f"({draw(_NAMES)} : {dom}) → {cod}"
+
+
+@st.composite
+def _decls(draw):
+    keyword = draw(st.sampled_from(["record", "data"]))
+    params = "".join(
+        f" ({draw(_NAMES)} : {draw(st.one_of(st.just('Set'), _types(0)))})" for _ in range(draw(st.integers(0, 2)))
+    )
+    members = "".join(f"    {draw(_NAMES)} : {draw(_types())}\n" for _ in range(draw(st.integers(0, 2))))
+    if keyword == "record":
+        return f"record {draw(_NAMES)}{params} : Set where\n  field\n{members}"
+    return f"data {draw(_NAMES)}{params} : Set where\n{members}"
+
+
+@settings(max_examples=200)
+@given(st.lists(_decls(), min_size=1, max_size=4).map("\n".join))
+@example(
+    "record R (A : Set) : Set where\n  field\n    A : A\n"
+    "record R (A : Set) : Set where\n  field\n    B : A\n"
+    "record A (B : Set) (R : R B) : Set where\n  field\n    A : B R == B R\n"
+)
+def test_checking_a_module_returns_a_list_of_errors_and_never_raises(source):
+    assert isinstance(check_module(parse_file(source)), list)
 
 
 def test_an_applied_field_in_a_type_is_a_term_not_a_type():

@@ -65,6 +65,20 @@ def test_check_duplicate_field_exits_two_with_one_line(workdir, capsys):
     assert out[0].startswith(str(path))
 
 
+def test_check_projection_of_a_record_whose_name_repeats_exits_two(workdir, capsys):
+    path = workdir / "m.eqt"
+    path.write_text(
+        "record R (A : Set) : Set where\n  field\n    f : A\n\n"
+        "record R (A : Set) : Set where\n  field\n    g : A\n\n"
+        "record S (A : Set) (r : R A) : Set where\n  field\n    w : g r == g r\n",
+        encoding="utf-8",
+    )
+    assert main(["check", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert [line.split(": ")[1] for line in out.splitlines()] == ["DuplicateField", "DuplicateField"]
+    assert err == ""
+
+
 def test_check_parse_error_exits_one(workdir, capsys):
     bad = workdir / "bad.eqt"
     bad.write_text("record M : Set\n", encoding="utf-8")

@@ -4,8 +4,10 @@ import pytest
 
 from theoryforge.ast import RecordDecl
 from theoryforge.combinators import (
+    ClashError,
     Combine,
     Extend,
+    Library,
     LibraryError,
     Rename,
     expand,
@@ -14,7 +16,13 @@ from theoryforge.combinators import (
     standard_library_path,
 )
 from theoryforge.parser import ParseError, parse_decl
-from theoryforge.theory import ShapeError, embed, extract
+from theoryforge.theory import EqTheory, ShapeError, embed, extract
+
+@pytest.fixture(scope="module")
+def entries():
+    """The entries of the bundled library, in order."""
+    return parse_library(standard_library_path().read_text(encoding="utf-8"))
+
 
 MONOID_VIA_COMBINATORS = """
 theory Carrier = base { A : Set }
@@ -82,8 +90,8 @@ theory Bad = combine P1 P2 over Carrier
         expand_library(parse_library(lib_text))
 
 
-def test_combine_commutes_up_to_order(library):
-    for entry in library.entries:
+def test_combine_commutes_up_to_order(library, entries):
+    for entry in entries:
         if not isinstance(entry, Combine):
             continue
         flipped = expand(Combine(entry.name, entry.right, entry.left, entry.over), library)
@@ -151,7 +159,45 @@ def test_rename_must_be_injective(library):
 
 def test_empty_library_expands_to_nothing():
     lib = expand_library([])
-    assert lib.entries == [] and lib.expanded == {}
+    assert lib.expanded == {} and lib.theories() == []
+
+
+def test_combine_refuses_two_sides_over_different_sorts():
+    lib_text = """
+theory Carrier = base { A : Set }
+theory P = extend Carrier with { e : A }
+theory Q = rename P renaming (A to B)
+theory Bad = combine P Q over Carrier
+"""
+    with pytest.raises(LibraryError) as exc:
+        expand_library(parse_library(lib_text))
+    assert str(exc.value) == "while expanding 'Bad': cannot combine 'P' and 'Q': sorts differ"
+
+
+def test_combine_refuses_two_sides_with_different_waists(library):
+    # no library text gives a waist other than one, so the theories are built here
+    magma = library.expanded["Magma"]
+    lib = Library()
+    for name, waist in [("L", 1), ("R", 2), ("O", 1)]:
+        lib.expanded[name] = EqTheory(name, magma.sort, magma.func_types, [], waist)
+    with pytest.raises(ClashError) as exc:
+        expand(Combine("Bad", "L", "R", "O"), lib)
+    assert str(exc.value) == "cannot combine 'L' and 'R': waists differ"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("theory T = ( A", "1:12: expected a combinator, got '(' (expected one of: base, combine, extend, rename)"),
+        ("theory T = merge A B", "1:12: unknown combinator 'merge' (expected one of: base, combine, extend, rename)"),
+        ("theory T = rename P renaming (a to b, a to c)", "1:39: 'a' renamed twice"),
+    ],
+    ids=["no-combinator", "unknown-combinator", "renamed-twice"],
+)
+def test_library_syntax_errors_are_pinned(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse_library(text)
+    assert str(exc.value) == message
 
 
 def test_base_requires_sort_first():
@@ -166,9 +212,9 @@ def test_base_theory_has_waist_one():
     assert [f.name for f in t.func_types] == ["e"]
 
 
-def test_extend_is_monotone_over_parents(library):
+def test_extend_is_monotone_over_parents(library, entries):
     checked = 0
-    for entry in library.entries:
+    for entry in entries:
         if not isinstance(entry, Extend):
             continue
         parent = library.expanded[entry.parent]
@@ -180,17 +226,18 @@ def test_extend_is_monotone_over_parents(library):
 
 
 def test_standard_library_has_expected_scale(library):
-    assert len(library.entries) >= 50
-    names = {e.name for e in library.entries}
+    assert len(library.expanded) >= 50
+    names = set(library.expanded)
     assert {"Carrier", "Magma", "Semigroup", "Monoid", "CommutativeMonoid", "Group",
             "AbelianGroup", "Ring", "BoundedDistributedLattice"} <= names
     for t in library.theories():
         assert t.waist == 1
 
 
-def test_expansion_is_deterministic(library):
-    again = expand_library(parse_library(standard_library_path().read_text(encoding="utf-8")))
-    assert [e.name for e in again.entries] == [e.name for e in library.entries]
+def test_expansion_is_deterministic(library, entries):
+    again = expand_library(entries)
+    assert list(again.expanded) == list(library.expanded) == [e.name for e in entries]
+    assert [t.name for t in library.theories()] == [e.name for e in entries]
     for name, t in again.expanded.items():
         assert t == library.expanded[name]
 
@@ -231,9 +278,9 @@ def test_base_with_two_operations_of_one_name_is_refused():
         expand_library(parse_library("theory T = base { A : Set  f : A  f : A → A }"))
 
 
-def test_extend_reads_its_block_like_record_fields_after_the_parent(library):
+def test_extend_reads_its_block_like_record_fields_after_the_parent(library, entries):
     checked = 0
-    for entry in library.entries:
+    for entry in entries:
         if not isinstance(entry, Extend):
             continue
         parent = embed(library.expanded[entry.parent])

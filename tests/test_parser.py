@@ -175,6 +175,15 @@ def test_unterminated_binder_is_an_error():
         parse_file("record M (A : Set : Set where")
 
 
+@pytest.mark.parametrize(
+    "source, found", [("", 0), ("record A : Set where\nrecord B : Set where\n", 2)], ids=["none", "two"]
+)
+def test_parse_decl_wants_exactly_one_declaration(source, found):
+    with pytest.raises(ParseError) as exc:
+        parse_decl(source)
+    assert str(exc.value) == f"1:1: expected exactly one declaration, found {found}"
+
+
 def test_repeated_binder_name_rejected():
     with pytest.raises(ParseError):
         parse_file("record M (A A : Set) : Set where")

@@ -86,6 +86,10 @@ def test_printing_is_deterministic(monoid):
     assert len(texts) == 1
 
 
+def test_an_empty_module_prints_as_nothing():
+    assert print_module([]) == ""
+
+
 def test_module_print_separates_with_blank_lines(monoid_decl):
     text = print_module([monoid_decl, prod_decl()])
     assert "\n\nrecord Prod" in text

@@ -9,6 +9,7 @@ from theoryforge.parser import parse_decl
 from theoryforge.theory import (
     Axiom,
     CollisionError,
+    EqTheory,
     RenameScheme,
     ShapeError,
     associativity_op,
@@ -71,6 +72,22 @@ def test_extract_rejects_an_axiom_among_the_parameters(params):
     d = parse_decl(f"record M {params} : Set where\n  field\n    op : A → A → A")
     with pytest.raises(ShapeError, match="^axiom 'lu' is a record parameter;"):
         extract(d)
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ("w : (x : A → A) → e == e", "axiom 'w': variables must range over the sort 'A'"),
+        ("w : (e : A) → e == e", "axiom 'w': variable 'e' shadows another name"),
+        ("r : A → Set", "'r' is neither an operation over the sort nor an equation"),
+    ],
+    ids=["variable-over-another-type", "variable-shadows-an-operation", "relation"],
+)
+def test_extract_refuses_a_field_that_is_no_operation_or_axiom(field, message):
+    d = parse_decl(f"record M (A : Set) : Set where\n  field\n    e : A\n    {field}")
+    with pytest.raises(ShapeError) as exc:
+        extract(d)
+    assert str(exc.value) == message
 
 
 def test_extract_waist_zero():
@@ -160,6 +177,14 @@ def test_embed_waist_zero_puts_everything_in_fields(monoid):
     d = embed(t)
     assert d.params == []
     assert [f.name for f in d.fields] == ["A", "e", "op", "lunit", "runit", "assoc"]
+
+
+@pytest.mark.parametrize("waist", [-1, 4])
+def test_embed_refuses_a_waist_outside_the_telescope(monoid, waist):
+    t = EqTheory(monoid.name, monoid.sort, monoid.func_types, [], waist)
+    with pytest.raises(ShapeError) as exc:
+        embed(t)
+    assert str(exc.value) == f"Monoid: waist {waist} out of range 0..3"
 
 
 def test_embed_extract_roundtrip_across_library(library):
