@@ -103,7 +103,7 @@ class CheckContext:
 
     def __init__(self) -> None:
         self.type_params: dict[str, list[tuple[str, TypeExpr]]] = {}
-        self.fields: dict[str, tuple[str, TypeExpr]] = {}  # name → (owner, type)
+        self.fields: dict[str, tuple[str, list[tuple[str, TypeExpr]], TypeExpr]] = {}  # name → (owner, params, type)
         self.data_ctors: dict[str, tuple[str, TypeExpr]] = {}
         self.used_member_names: set[str] = set()
 
@@ -115,7 +115,7 @@ class CheckContext:
         self.type_params.setdefault(d.name, params)
         if isinstance(d, RecordDecl):
             for f in d.fields:
-                self.fields.setdefault(f.name, (d.name, f.ty))
+                self.fields.setdefault(f.name, (d.name, params, f.ty))
                 self.used_member_names.add(f.name)
             self.used_member_names.add(d.constructor_name)
         else:
@@ -385,7 +385,8 @@ class _DeclChecker:
         return ty if ok else None
 
     def _project(
-        self, name: str, owner: str, field_ty: TypeExpr, args: list[Term], bound: dict[str, TypeExpr], pos: Pos | None
+        self, name: str, owner: str, params: list[tuple[str, TypeExpr]], field_ty: TypeExpr,
+        args: list[Term], bound: dict[str, TypeExpr], pos: Pos | None,
     ) -> TypeExpr | None:
         """Type a field projection written as application: ``f inst a1 .. an``."""
         if not args:
@@ -412,7 +413,7 @@ class _DeclChecker:
             return None
         sorts: dict[str, TypeExpr] = {}
         syms: dict[str, str] = {}
-        for a, (p, _) in zip(inst_args, self.ctx.type_params[owner]):
+        for a, (p, _) in zip(inst_args, params):
             _put_in(p, a, sorts, syms)
         return self._apply(name, map_names(field_ty, sorts, syms), args[1:], bound, pos)
 

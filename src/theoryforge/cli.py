@@ -36,15 +36,17 @@ constructions, in catalog order.  Each ``module.gen.eqt`` is reparsed and
 checked as one module before any of the theory's files are written.
 
 Defaults may also come from a ``theoryforge.cfg`` file in the working
-directory (line-oriented ``key = value``: ``constructions``, ``out``,
-``jobs``, ``orient-assoc``, ``suffix.<kind>``; any other key, a repeated
-key, or an ``orient-assoc`` value other than ``1/true/yes/on`` or
-``0/false/no/off`` is an error); command-line flags win.  Only the
-constructions in ``generators.DEFAULT_SUFFIXES`` take a suffix, and
-``x<suffix>`` must read back as one name (``lexer.is_name``).
-``orient-assoc`` and ``--orient-assoc`` are accepted and stored in
-``RunConfig.force_orient_assoc``, which no command reads yet: they change
-no output.
+directory, one ``key = value`` per line: ``constructions``, ``out``,
+``jobs`` and ``suffix.<kind>`` take exactly what their flags take,
+``orient-assoc`` takes ``1/true/yes/on`` or ``0/false/no/off``, and any
+other key or a repeated key is an error.  :func:`_read_setting` reads
+every setting of the file, even one a flag overrides, and then each flag,
+so flags win; an error in the file names the file.  Only the constructions
+in ``generators.DEFAULT_SUFFIXES`` take a suffix, ``x<suffix>`` must read
+back as one name (``lexer.is_name``), and suffixes must be pairwise
+distinct.  ``orient-assoc`` and ``--orient-assoc`` are accepted and stored
+in ``RunConfig.force_orient_assoc``, which no command reads yet: they
+change no output.
 """
 
 from __future__ import annotations
@@ -74,7 +76,6 @@ from .printer import print_decl, print_module
 from .theory import EqTheory, ShapeError, embed, extract
 
 CONFIG_FILE = "theoryforge.cfg"
-CONFIG_KEYS = frozenset({"constructions", "out", "jobs", "orient-assoc"})
 CONFIG_BOOLEANS = {
     "1": True, "true": True, "yes": True, "on": True,
     "0": False, "false": False, "no": False, "off": False,
@@ -101,20 +102,10 @@ class RunConfig:
         self.jobs = jobs
         self.force_orient_assoc = force_orient_assoc
 
-    def validate(self) -> None:
-        for kind in self.suffixes:
-            if kind not in DEFAULT_SUFFIXES:
-                takers = ", ".join(k.value for k in DEFAULT_SUFFIXES)
-                raise ValueError(f"construction {kind.value!r} takes no suffix (only {takers} do)")
-        values = list(self.suffixes.values())
-        if len(set(values)) != len(values):
-            raise ValueError("construction suffixes must be pairwise distinct")
-        for value in values:
-            if not value or not is_name(f"x{value}"):
-                raise ValueError(f"suffix {value!r} would not form valid names")
-
 
 def _read_config_file(path: Path) -> dict[str, str]:
+    """The ``key = value`` lines of ``path``, if it exists: only their
+    syntax is read here, their settings by :func:`_read_setting`."""
     if not path.is_file():
         return {}
     try:
@@ -130,62 +121,69 @@ def _read_config_file(path: Path) -> dict[str, str]:
             raise ValueError(f"{path}: malformed line {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in CONFIG_KEYS and not key.startswith("suffix."):
-            raise ValueError(f"{path}: unknown key {key!r}")
         if key in values:
             raise ValueError(f"{path}: duplicate key {key!r}")
-        if key == "jobs":
-            try:
-                int(value)
-            except ValueError:
-                raise ValueError(f"{path}: jobs must be an integer, got {value!r}") from None
-        if key == "orient-assoc" and value.lower() not in CONFIG_BOOLEANS:
-            raise ValueError(f"{path}: orient-assoc must be true or false, got {value!r}")
         values[key] = value
     return values
 
 
-def _parse_kind_list(text: str) -> tuple[GenKind, ...]:
-    flags = [part.strip() for part in text.split(",") if part.strip()]
-    return tuple(kind_from_flag(f) for f in flags)
+def _read_setting(cfg: RunConfig, key: str, text: str, name: str) -> None:
+    """Set the configuration key ``key`` of ``cfg`` from ``text``, whether
+    a line of the configuration file or a flag gives it; an error calls the
+    setting ``name`` (``jobs`` in the file, ``--jobs`` as a flag)."""
+    if key == "constructions":
+        cfg.kinds = tuple(kind_from_flag(part.strip()) for part in text.split(",") if part.strip())
+    elif key == "out":
+        cfg.out_dir = Path(text)
+    elif key == "jobs":
+        try:
+            cfg.jobs = int(text)
+        except ValueError:
+            raise ValueError(f"{name} must be an integer, got {text!r}") from None
+        if cfg.jobs < 1:
+            raise ValueError(f"{name} must be at least 1")
+    elif key == "orient-assoc":
+        if text.lower() not in CONFIG_BOOLEANS:
+            raise ValueError(f"{name} must be true or false, got {text!r}")
+        cfg.force_orient_assoc = CONFIG_BOOLEANS[text.lower()]
+    elif key.startswith("suffix."):
+        kind = kind_from_flag(key[len("suffix."):])
+        if kind not in DEFAULT_SUFFIXES:
+            takers = ", ".join(k.value for k in DEFAULT_SUFFIXES)
+            raise ValueError(f"construction {kind.value!r} takes no suffix (only {takers} do)")
+        if not text or not is_name(f"x{text}"):
+            raise ValueError(f"suffix {text!r} would not form valid names")
+        cfg.suffixes[kind] = text
+    else:
+        raise ValueError(f"unknown key {key!r}")
 
 
 def build_config(args: argparse.Namespace, cwd: Path | None = None) -> RunConfig:
+    """The defaults, then each setting of the ``theoryforge.cfg`` in
+    ``cwd``, then each flag given, all read by :func:`_read_setting`."""
     path = (cwd or Path.cwd()) / CONFIG_FILE
-    cfg_values = _read_config_file(path)
     cfg = RunConfig()
+    for key, text in _read_config_file(path).items():
+        try:
+            _read_setting(cfg, key, text, key)
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from None
 
-    constructions = (
-        args.constructions if args.constructions is not None else cfg_values.get("constructions")
-    )
-    if constructions is not None:
-        cfg.kinds = _parse_kind_list(constructions)
-    out = args.out if args.out is not None else cfg_values.get("out")
-    if out is not None:
-        cfg.out_dir = Path(out)
-    jobs, source = args.jobs, "--jobs"
-    if jobs is None:
-        jobs, source = cfg_values.get("jobs"), f"{path}: jobs"
-    if jobs is not None:
-        cfg.jobs = int(jobs)
-        if cfg.jobs < 1:
-            raise ValueError(f"{source} must be at least 1")
-    orient = cfg_values.get("orient-assoc")
-    if orient is not None:
-        cfg.force_orient_assoc = CONFIG_BOOLEANS[orient.lower()]
+    flags = {"constructions": args.constructions, "out": args.out, "jobs": args.jobs}
     if args.orient_assoc:
-        cfg.force_orient_assoc = True
-
-    for key, value in cfg_values.items():
-        if key.startswith("suffix."):
-            cfg.suffixes[kind_from_flag(key[len("suffix."):])] = value
+        flags["orient-assoc"] = "true"
+    for key, value in flags.items():
+        if value is not None:
+            _read_setting(cfg, key, str(value), f"--{key}")
     for item in args.suffix or []:
-        if "=" not in item:
+        flag, equals, value = item.partition("=")
+        if not equals:
             raise ValueError(f"--suffix expects KIND=STR, got {item!r}")
-        flag, _, value = item.partition("=")
-        cfg.suffixes[kind_from_flag(flag.strip())] = value.strip()
+        _read_setting(cfg, f"suffix.{flag.strip()}", value.strip(), "--suffix")
 
-    cfg.validate()
+    values = list(cfg.suffixes.values())
+    if len(set(values)) != len(values):
+        raise ValueError("construction suffixes must be pairwise distinct")
     return cfg
 
 

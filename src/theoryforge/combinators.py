@@ -17,7 +17,6 @@ merge.
 
 from __future__ import annotations
 
-from importlib import resources
 from pathlib import Path
 from typing import NamedTuple, Union
 
@@ -252,7 +251,7 @@ def load_library(path: Path | str) -> Library:
 
 def standard_library_path() -> Path:
     """The bundled tiny-theories library shipped with the package."""
-    return Path(str(resources.files("theoryforge").joinpath("data/standard.lib")))
+    return Path(__file__).with_name("data") / "standard.lib"
 
 
 __all__ = [

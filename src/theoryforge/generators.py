@@ -133,11 +133,11 @@ def _supply(t: EqTheory, names: NameSupply | None) -> NameSupply:
     return NameSupply.for_module(embed(t)) if names is None else names
 
 
-def _renaming(t: EqTheory, suffix: str, names: NameSupply, ops: list[str | None]) -> dict[str, str]:
+def _renaming(t: EqTheory, suffix: str, names: NameSupply) -> dict[str, str]:
     """The suffix scheme's targets, drawn from the supply; they also avoid
     every bound variable of the axioms, which a target would capture."""
     bound = {v for ax in t.axioms for v in ax.var_names}
-    return {old: names.fresh(new, bound) for old, new in RenameScheme(suffix).mapping_for(t, ops).items()}
+    return {old: names.fresh(new, bound) for old, new in RenameScheme(suffix).mapping_for(t).items()}
 
 
 def _record(t: EqTheory, names: NameSupply) -> RecordDecl:
@@ -156,7 +156,7 @@ def gen_signature(
     names = _supply(t, names)
     name = names.fresh(t.name + "Sig")
     bare = EqTheory(t.name, t.sort, t.func_types, [], t.waist)
-    return rename_with(bare, _renaming(bare, suffix, names, []), new_name=name)
+    return rename_with(bare, _renaming(bare, suffix, names), new_name=name)
 
 
 # -- product algebra ---------------------------------------------------------------
@@ -167,24 +167,25 @@ def gen_product(
     """The theory over the binary product of the carrier: every occurrence
     of the sort becomes ``Prod s s``, axiom binders become explicit (one per
     variable, variables suffixed), and a recognised associativity axiom is
-    restated canonically as ``f (f x y) z == f x (f y z)``.  Each axiom is
-    recognised once and renamed in one walk."""
+    restated canonically as ``f (f x y) z == f x (f y z)``."""
     names = _supply(t, names)
     name = names.fresh(t.name + "Prod")
-    ops = [associativity_op(ax) for ax in t.axioms]
-    mapping = _renaming(t, suffix, names, ops)
+    mapping = _renaming(t, suffix, names)
     sort2 = mapping.get(t.sort.name, t.sort.name)
     prod_ty = TyApp(names.prod_type, [SortRef(sort2), SortRef(sort2)])
-    variables = []
+    funcs = [Constr(mapping.get(f.name, f.name), map_names(f.ty, {t.sort.name: prod_ty})) for f in t.func_types]
+    axioms = []
     for ax in t.axioms:
         scope = names.scope()
-        variables.append({v: scope.fresh(v + suffix) for v in ax.var_names})
-    renamed = rename_with(t, mapping, name, prod_ty, variables)
-    for ax, op, var_map in zip(renamed.axioms, ops, variables):
-        ax.binders = [Binder([v], prod_ty) for v in var_map.values()]
+        var_map = {v: scope.fresh(v + suffix) for v in ax.var_names}
+        op = associativity_op(ax)
         if op is not None:
-            ax.lhs, ax.rhs = associativity(mapping.get(op, op), *(Var(v) for v in var_map.values()))
-    return renamed
+            lhs, rhs = associativity(mapping.get(op, op), *map(Var, var_map.values()))
+        else:
+            lhs, rhs = (map_names(side, syms=mapping, vars=var_map) for side in (ax.lhs, ax.rhs))
+        binders = [Binder([v], prod_ty) for v in var_map.values()]
+        axioms.append(Axiom(mapping.get(ax.name, ax.name), binders, lhs, rhs))
+    return EqTheory(name, Constr(sort2, SetKind()), funcs, axioms, t.waist)
 
 
 def prod_decl(names: NameSupply | None = None) -> RecordDecl:

@@ -185,20 +185,12 @@ def extract(d: RecordDecl) -> EqTheory:
 
 # -- renaming --------------------------------------------------------------------
 
-def rename_with(
-    t: EqTheory,
-    mapping: dict[str, str],
-    new_name: str | None = None,
-    carrier: TypeExpr | None = None,
-    variables: list[dict[str, str]] | None = None,
-) -> EqTheory:
+def rename_with(t: EqTheory, mapping: dict[str, str], new_name: str | None = None) -> EqTheory:
     """Apply an explicit name map to every occurrence of the declared names.
 
-    Bound variables are left alone, unless ``variables`` maps them for each
-    axiom; the theory name changes only when ``new_name`` says so, and
-    ``carrier``, if given, replaces the sort in types.  Raises
-    :class:`CollisionError` if ``mapping`` would produce duplicate declared
-    names or capture a bound variable.
+    Bound variables are left alone; the theory name changes only when
+    ``new_name`` says so.  Raises :class:`CollisionError` if the renaming
+    would produce duplicate declared names or capture a bound variable.
     """
     declared = t.declared_names()
     unknown = set(mapping) - set(declared)
@@ -216,16 +208,16 @@ def rename_with(
             )
 
     sort = Constr(mapping.get(t.sort.name, t.sort.name), SetKind())
-    sorts = {t.sort.name: SortRef(sort.name) if carrier is None else carrier}
+    sorts = {t.sort.name: SortRef(sort.name)}
     funcs = [Constr(mapping.get(f.name, f.name), map_names(f.ty, sorts, mapping)) for f in t.func_types]
     axioms = [
         Axiom(
             mapping.get(a.name, a.name),
-            [map_names(b, sorts, vars=v) for b in a.binders],
-            map_names(a.lhs, syms=mapping, vars=v),
-            map_names(a.rhs, syms=mapping, vars=v),
+            [map_names(b, sorts) for b in a.binders],
+            map_names(a.lhs, syms=mapping),
+            map_names(a.rhs, syms=mapping),
         )
-        for a, v in zip(t.axioms, variables or [{}] * len(t.axioms))
+        for a in t.axioms
     ]
     return EqTheory(new_name if new_name is not None else t.name, sort, funcs, axioms, t.waist)
 
@@ -284,15 +276,14 @@ class RenameScheme(NamedTuple):
 
     suffix: str
 
-    def mapping_for(self, t: EqTheory, ops: list[str | None] | None = None) -> dict[str, str]:
-        """The map for ``t``; ``ops`` is :func:`associativity_op` of each
-        axiom, if the caller has it already."""
+    def mapping_for(self, t: EqTheory) -> dict[str, str]:
         if not self.suffix:
             return {}
         mapping = {t.sort.name: t.sort.name + self.suffix}
         for f in t.func_types:
             mapping[f.name] = f.name + self.suffix
-        for ax, op in zip(t.axioms, ops or map(associativity_op, t.axioms)):
+        for ax in t.axioms:
+            op = associativity_op(ax)
             if op is not None:
                 mapping[ax.name] = "associative_" + mapping[op]
                 continue

@@ -177,6 +177,17 @@ N_RECORD = "record N (A : Set) (e : A) : Set where\n\n"
                 " (all field and constructor names must be distinct across the module)",
             ],
         ),
+        # ... whose parameters have other names: the field is read with its own record's
+        (
+            "record R (A : Set) : Set where\n  field\n    f : A\n\n"
+            "record R (X : Set) : Set where\n  field\n    g : X\n\n"
+            "record S (B : Set) (r : R B) : Set where\n  field\n    w : (x : B) → g r == x\n",
+            [
+                "m:5:1: DuplicateField: declaration name 'R' is already defined in this module",
+                "m:5:1: DuplicateField: member name 'RC' is already used"
+                " (all field and constructor names must be distinct across the module)",
+            ],
+        ),
         # projections put the instance's arguments in for every parameter of the owner
         (
             "record P (A B : Set) : Set where\n  field\n    f : A → B\n\n"
@@ -199,6 +210,7 @@ N_RECORD = "record N (A : Set) (e : A) : Set where\n\n"
     ],
     ids=["type-for-term-and-term-for-type", "term-argument", "unknown-term", "type-application-for-term",
          "dependent-parameter", "axiom-parameter", "self-applied-data", "projection-of-a-duplicate-record",
+         "projection-of-a-duplicate-record-with-other-parameter-names",
          "projection-through-two-sorts", "projection-through-no-parameters", "shadowing-sort-applied",
          "shadowing-sort-bare", "applied-sort", "repeated-parameter"],
 )

@@ -317,17 +317,24 @@ def test_gen_rejects_malformed_suffix(workdir, capsys, suffix):
     assert not (workdir / "out").exists()
 
 
+TAKES_NO_SUFFIX = "takes no suffix (only sig, prod, termlang, open-termlang do)"
+
+
 @pytest.mark.parametrize(
-    "flags, config",
-    [(["--suffix", "hom=Q"], None), ([], "suffix.mono = Q\n"), (["--suffix", "endo=S"], None)],
+    "flags, config, message",
+    [
+        (["--suffix", "hom=Q"], None, f"construction 'hom' {TAKES_NO_SUFFIX}"),
+        ([], "suffix.mono = Q\n", f"{{cfg}}: construction 'mono' {TAKES_NO_SUFFIX}"),
+        (["--suffix", "endo=S"], None, f"construction 'endo' {TAKES_NO_SUFFIX}"),
+    ],
+    ids=["hom-flag", "mono-in-the-config-file", "endo-flag"],
 )
-def test_gen_refuses_a_suffix_for_a_construction_that_takes_none(workdir, capsys, flags, config):
+def test_gen_refuses_a_suffix_for_a_construction_that_takes_none(workdir, capsys, flags, config, message):
     path = copy_fixture("monoid.eqt", workdir)
     if config is not None:
         (workdir / "theoryforge.cfg").write_text(config, encoding="utf-8")
     assert main(["gen", str(path), "--out", "out", *flags]) == 3
-    (line,) = capsys.readouterr().err.splitlines()
-    assert "takes no suffix" in line
+    assert capsys.readouterr().err == message.format(cfg=workdir / "theoryforge.cfg") + "\n"
     assert not (workdir / "out").exists()
 
 
@@ -442,6 +449,9 @@ REFUSED = {
     "unknown flag": (["lib", "x.lib", "--frob"], True, "theoryforge: error: unrecognized arguments: --frob"),
     "jobs below one": (["gen", "monoid.eqt", "--jobs", "0"], False, "--jobs must be at least 1"),
     "unknown construction": (["gen", "monoid.eqt", "--constructions", "bogus"], False, "unknown construction 'bogus'"),
+    "suffix without an equals sign": (
+        ["gen", "monoid.eqt", "--suffix", "sigS"], False, "--suffix expects KIND=STR, got 'sigS'"
+    ),
 }
 
 
@@ -830,28 +840,32 @@ def test_flags_override_config_file(workdir):
     assert (workdir / "flagout" / "Monoid").is_dir()
 
 
-def test_config_file_rejects_unknown_key(workdir, capsys):
+# a theoryforge.cfg that gen refuses, the flags given with it, and the one
+# stderr line, which names the file: every value in the file is read, even
+# one a flag overrides, and the line syntax before any value
+CONFIG_REFUSED = {
+    "unknown-key": ("construction = sig\n", [], "unknown key 'construction'"),
+    "jobs-not-an-integer": ("jobs = two\n", [], "jobs must be an integer, got 'two'"),
+    "jobs-below-one": ("jobs = 0\n", [], "jobs must be at least 1"),
+    "misspelt-orient-assoc": ("orient-assoc = ture\n", [], "orient-assoc must be true or false, got 'ture'"),
+    "line-without-equals": ("nonsense\n", [], "malformed line 'nonsense'"),
+    "duplicate-key": ("out = a\nout = b\n", [], "duplicate key 'out'"),
+    "syntax-before-values": ("construction = sig\nout = a\nout = b\n", [], "duplicate key 'out'"),
+    "unknown-construction": ("constructions = sig,bogus\n", [], "unknown construction 'bogus'"),
+    "suffix-of-an-unknown-construction": ("suffix.bogus = X\n", [], "unknown construction 'bogus'"),
+    "malformed-suffix": ("suffix.sig = -\n", [], "suffix '-' would not form valid names"),
+    "overridden-constructions": ("constructions = bogus\n", ["--constructions", "sig"], "unknown construction 'bogus'"),
+    "overridden-jobs": ("jobs = 0\n", ["--jobs", "2"], "jobs must be at least 1"),
+}
+
+
+@pytest.mark.parametrize("config, flags, message", CONFIG_REFUSED.values(), ids=list(CONFIG_REFUSED))
+def test_config_file_refuses_a_bad_setting(workdir, capsys, config, flags, message):
     copy_fixture("monoid.eqt", workdir)
-    (workdir / "theoryforge.cfg").write_text("construction = sig\n", encoding="utf-8")
-    assert main(["gen", "monoid.eqt"]) == 3
-    assert "theoryforge.cfg: unknown key 'construction'" in capsys.readouterr().err
-    assert not (workdir / "generated").exists()
-
-
-def test_config_file_jobs_must_be_an_integer(workdir, capsys):
-    copy_fixture("monoid.eqt", workdir)
-    (workdir / "theoryforge.cfg").write_text("jobs = two\n", encoding="utf-8")
-    assert main(["gen", "monoid.eqt"]) == 3
-    assert "theoryforge.cfg: jobs must be an integer, got 'two'" in capsys.readouterr().err
-    assert not (workdir / "generated").exists()
-
-
-def test_config_file_jobs_must_be_at_least_one(workdir, capsys):
-    copy_fixture("monoid.eqt", workdir)
-    (workdir / "theoryforge.cfg").write_text("jobs = 0\n", encoding="utf-8")
-    assert main(["gen", "monoid.eqt"]) == 3
-    assert capsys.readouterr().err == f"{workdir / 'theoryforge.cfg'}: jobs must be at least 1\n"
-    assert not (workdir / "generated").exists()
+    (workdir / "theoryforge.cfg").write_text(config, encoding="utf-8")
+    assert main(["gen", "monoid.eqt", *flags]) == 3
+    assert capsys.readouterr() == ("", f"{workdir / 'theoryforge.cfg'}: {message}\n")
+    assert sorted(p.name for p in workdir.iterdir()) == ["monoid.eqt", "theoryforge.cfg"]
 
 
 def test_config_file_supplies_jobs_and_the_flag_wins(workdir):
@@ -866,45 +880,12 @@ def test_config_file_supplies_jobs_and_the_flag_wins(workdir):
     assert _process_count(None, 62) == min(len(os.sched_getaffinity(0)), 62)
 
 
-def test_config_file_rejects_misspelt_orient_assoc(workdir, capsys):
-    copy_fixture("monoid.eqt", workdir)
-    (workdir / "theoryforge.cfg").write_text("orient-assoc = ture\n", encoding="utf-8")
-    assert main(["gen", "monoid.eqt"]) == 3
-    assert "theoryforge.cfg: orient-assoc must be true or false, got 'ture'" in capsys.readouterr().err
-    assert not (workdir / "generated").exists()
-
-
 def test_config_file_skips_comments_and_blank_lines_and_reads_orient_assoc(workdir):
     (workdir / "theoryforge.cfg").write_text("# defaults\n\n   \n  # indented\norient-assoc = yes\n", encoding="utf-8")
     ns = argparse.Namespace(constructions=None, out=None, suffix=None, jobs=None, orient_assoc=False)
     cfg = build_config(ns, cwd=workdir)
     assert cfg.force_orient_assoc is True
     assert (cfg.jobs, cfg.out_dir) == (None, Path("generated"))
-
-
-@pytest.mark.parametrize(
-    "config, flags, message",
-    [
-        ("nonsense\n", [], "{cfg}: malformed line 'nonsense'"),
-        (None, ["--suffix", "sigS"], "--suffix expects KIND=STR, got 'sigS'"),
-    ],
-    ids=["config-line-without-equals", "suffix-without-equals"],
-)
-def test_a_setting_without_an_equals_sign_exits_3(workdir, capsys, config, flags, message):
-    copy_fixture("monoid.eqt", workdir)
-    if config is not None:
-        (workdir / "theoryforge.cfg").write_text(config, encoding="utf-8")
-    assert main(["gen", "monoid.eqt", *flags]) == 3
-    assert capsys.readouterr().err == message.format(cfg=workdir / "theoryforge.cfg") + "\n"
-    assert not (workdir / "generated").exists()
-
-
-def test_config_file_rejects_duplicate_key(workdir, capsys):
-    copy_fixture("monoid.eqt", workdir)
-    (workdir / "theoryforge.cfg").write_text("out = a\nout = b\n", encoding="utf-8")
-    assert main(["gen", "monoid.eqt"]) == 3
-    assert "theoryforge.cfg: duplicate key 'out'" in capsys.readouterr().err
-    assert not (workdir / "a").exists() and not (workdir / "b").exists()
 
 
 # -- process-level entry -----------------------------------------------------------------
@@ -971,10 +952,15 @@ def test_a_parallel_run_leaves_the_process_machinery_unloaded(tmp_path):
 
 # each entry point, with modules it must not load: the engine, dataclasses
 # and inspect cost a CLI run import time and are never run by it, nor is
-# multiprocessing; only a parallel run loads pickle, when it forks; an engine
-# user runs none of the generators, printer, checker or CLI
+# multiprocessing or importlib.resources; only a parallel run loads pickle,
+# when it forks; an engine user runs none of the generators, printer, checker
+# or CLI.  The child runs without ``site``, whose ``.pth`` files may import
+# modules of their own
 IMPORT_FOOTPRINTS = {
-    "cli": ("import theoryforge.cli", ["dataclasses", "inspect", "multiprocessing", "pickle", "theoryforge.engine"]),
+    "cli": (
+        "import theoryforge.cli",
+        ["dataclasses", "importlib.resources", "inspect", "multiprocessing", "pickle", "theoryforge.engine"],
+    ),
     "engine": (
         "from theoryforge import combinators, engine",
         [
@@ -993,7 +979,7 @@ IMPORT_FOOTPRINTS = {
 def test_an_entry_point_loads_only_what_it_runs(statement, unloaded):
     script = f"import sys\n{statement}\nprint(sorted(set({unloaded!r}) & set(sys.modules)))"
     proc = subprocess.run(
-        [sys.executable, "-c", script],
+        [sys.executable, "-S", "-c", script],
         capture_output=True,
         text=True,
         cwd=Path(theoryforge.__file__).parents[1],
