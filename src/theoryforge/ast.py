@@ -324,11 +324,13 @@ def default_constructor(name: str, taken: Container[str] = ()) -> str:
     return constructor
 
 
-def decl_member_names(d: Decl) -> list[str]:
-    """Field or constructor names of a declaration, in source order."""
+def decl_members(d: Decl) -> list[Constr]:
+    """The members ``d`` adds to its module, in source order: a record's
+    fields, then its constructor (``ty`` is ``None``, ``pos`` the
+    record's); or a data type's constructors."""
     if isinstance(d, RecordDecl):
-        return [f.name for f in d.fields]
-    return [c.name for c in d.constructors]
+        return [*d.fields, Constr(d.constructor_name, None, d.pos)]
+    return list(d.constructors)
 
 
 __all__ = [
@@ -355,7 +357,7 @@ __all__ = [
     "arity",
     "arrow_chain",
     "arrow_components",
-    "decl_member_names",
+    "decl_members",
     "default_constructor",
     "map_names",
     "spine",

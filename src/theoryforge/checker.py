@@ -10,7 +10,17 @@ and one of four kinds: ``UnboundName``, ``ArityMismatch``, ``SortMismatch``,
 Member names (record fields, data constructors, record constructor names)
 share one namespace across the whole module being checked: generated
 records project fields by plain application (``op Mo1 x1 x2``), which only
-works if every member name is globally unambiguous.
+works if every member name is globally unambiguous.  They are the names
+:func:`~theoryforge.ast.decl_members` lists, kept in one table where the
+first declaration of a name wins; a record's field may not repeat one of
+its parameter names.
+
+The head of a term, and a term argument of a type application, is looked
+up in one order: a bound variable, a parameter or earlier field, then a
+member (a field of an earlier record is projected, a data constructor
+applied; a record constructor is no term).  Any other name is a type, not
+a term, where it names a local sort, the data type being declared or a
+type of the module, and unknown elsewhere.
 
 Every applied name in a type, bare ones included as applications to zero
 arguments, is looked up innermost first: a local sort (which takes no
@@ -44,6 +54,7 @@ from .ast import (
     TyApp,
     TypeExpr,
     Var,
+    decl_members,
     map_names,
     spine,
 )
@@ -103,25 +114,18 @@ class CheckContext:
 
     def __init__(self) -> None:
         self.type_params: dict[str, list[tuple[str, TypeExpr]]] = {}
-        self.fields: dict[str, tuple[str, list[tuple[str, TypeExpr]], TypeExpr]] = {}  # name → (owner, params, type)
-        self.data_ctors: dict[str, tuple[str, TypeExpr]] = {}
-        self.used_member_names: set[str] = set()
+        # member name → (declaration, its parameters, the member's type or
+        # None for a record's constructor)
+        self.members: dict[str, tuple[Decl, list[tuple[str, TypeExpr]], TypeExpr | None]] = {}
 
     def register(self, d: Decl) -> None:
-        """Record the declaration's names for use by later declarations.
-        Call after :func:`check_decl`; registration is best-effort even for
-        declarations that had errors."""
+        """Record the declaration's names for use by later declarations,
+        unless an earlier one took them.  Call after :func:`check_decl`;
+        registration is best-effort even for declarations that had errors."""
         params = [(n, b.ty) for b in d.params for n in b.names]
         self.type_params.setdefault(d.name, params)
-        if isinstance(d, RecordDecl):
-            for f in d.fields:
-                self.fields.setdefault(f.name, (d.name, params, f.ty))
-                self.used_member_names.add(f.name)
-            self.used_member_names.add(d.constructor_name)
-        else:
-            for c in d.constructors:
-                self.data_ctors.setdefault(c.name, (d.name, c.ty))
-                self.used_member_names.add(c.name)
+        for m in decl_members(d):
+            self.members.setdefault(m.name, (d, params, m.ty))
 
 
 class _DeclChecker:
@@ -145,7 +149,10 @@ class _DeclChecker:
         for b in d.params:
             self._enter_param(b)
         if isinstance(d, RecordDecl):
+            params = self.local_sorts | self.local_terms.keys()
             for f in d.fields:
+                if f.name in params:
+                    self.error(DUPLICATE_FIELD, f"field {f.name!r} repeats a parameter name", f.pos)
                 self.check_type(f.ty, {})
                 self.local_terms[f.name] = f.ty
         else:
@@ -162,22 +169,16 @@ class _DeclChecker:
             )
 
     def _check_member_names(self) -> None:
-        d = self.decl
-        members: list[tuple[str, Pos | None]]
-        if isinstance(d, RecordDecl):
-            members = [(f.name, f.pos) for f in d.fields] + [(d.constructor_name, d.pos)]
-        else:
-            members = [(c.name, c.pos) for c in d.constructors]
         seen: set[str] = set()
-        for name, pos in members:
-            if name in seen or name in self.ctx.used_member_names:
+        for m in decl_members(self.decl):
+            if m.name in seen or m.name in self.ctx.members:
                 self.error(
                     DUPLICATE_FIELD,
-                    f"member name {name!r} is already used (all field and constructor names"
+                    f"member name {m.name!r} is already used (all field and constructor names"
                     " must be distinct across the module)",
-                    pos,
+                    m.pos,
                 )
-            seen.add(name)
+            seen.add(m.name)
 
     def _enter_param(self, b: Binder) -> None:
         self.check_type(b.ty, {})
@@ -235,10 +236,17 @@ class _DeclChecker:
 
     def _not_a_type(self, n: str, bound: dict[str, TypeExpr], pos: Pos | None) -> None:
         """Report ``n``, which names no type, where a type is expected."""
-        if n in bound or n in self.local_terms or n in self.ctx.used_member_names:
+        if n in bound or n in self.local_terms or n in self.ctx.members:
             self.error(SORT_MISMATCH, f"{n!r} is a term, not a type", pos)
         else:
             self.error(UNBOUND_NAME, f"unknown type {n!r}", pos)
+
+    def _not_a_term(self, n: str, pos: Pos | None) -> None:
+        """Report ``n``, which names no term, where a term is expected."""
+        if n in self.local_sorts or n == self.self_data or n in self.ctx.type_params:
+            self.error(SORT_MISMATCH, f"{n!r} is a type, not a term", pos)
+        else:
+            self.error(UNBOUND_NAME, f"unknown name {n!r}", pos)
 
     def _check_ty_app(self, n: str, args: Sequence[TypeExpr], pos: Pos | None, bound: dict[str, TypeExpr]) -> None:
         """Check ``n`` applied to ``args``; a bare name has no arguments."""
@@ -294,11 +302,8 @@ class _DeclChecker:
                         a.pos,
                     )
                 return
-            if name in self.local_sorts or name in self.ctx.type_params or name == self.self_data:
-                self.error(SORT_MISMATCH, f"{name!r} is a type, not a term", a.pos)
-                return
-            if name not in self.ctx.used_member_names:
-                self.error(UNBOUND_NAME, f"unknown name {name!r}", a.pos)
+            if name not in self.ctx.members:
+                self._not_a_term(name, a.pos)
                 return
         self.error(
             SORT_MISMATCH,
@@ -327,27 +332,18 @@ class _DeclChecker:
         if name in self.local_terms:
             return self._apply(name, self.local_terms[name], args, bound, pos)
 
-        field = self.ctx.fields.get(name)
-        if field is not None and field[0] != self.decl.name:
-            return self._project(name, *field, args, bound, pos)
-
-        ctor = self.ctx.data_ctors.get(name)
-        if ctor is not None:
-            data_name, ty = ctor
-            if self.ctx.type_params.get(data_name):
-                self.error(
-                    SORT_MISMATCH,
-                    f"constructor {name!r} of parameterized type {data_name!r} cannot be used here",
-                    pos,
-                )
-                return None
-            return self._apply(name, ty, args, bound, pos)
-
-        if name in self.local_sorts or name in self.ctx.type_params:
-            self.error(SORT_MISMATCH, f"{name!r} is a type, not a term", pos)
+        member = self.ctx.members.get(name)
+        if member is None:
+            self._not_a_term(name, pos)
             return None
-        self.error(UNBOUND_NAME, f"unknown name {name!r}", pos)
-        return None
+        owner, params, ty = member
+        if ty is not None and type(owner) is RecordDecl:
+            return self._project(name, owner.name, params, ty, args, bound, pos)
+        if ty is None or params:  # a record's constructor, or one of a parameterized data type
+            what = "record" if ty is None else "parameterized type"
+            self.error(SORT_MISMATCH, f"constructor {name!r} of {what} {owner.name!r} cannot be used here", pos)
+            return None
+        return self._apply(name, ty, args, bound, pos)
 
     def _apply(
         self,

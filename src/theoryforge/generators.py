@@ -35,7 +35,7 @@ from .ast import (
     apply_spine,
     arity,
     arrow_chain,
-    decl_member_names,
+    decl_members,
     default_constructor,
     map_names,
 )
@@ -106,11 +106,9 @@ class NameSupply:
     @classmethod
     def for_module(cls, head: Decl) -> NameSupply:
         """A supply seeded with every name ``head`` declares, as written:
-        its own name, parameters, members and record constructor."""
-        names = [head.name, *(n for b in head.params for n in b.names), *decl_member_names(head)]
-        if isinstance(head, RecordDecl):
-            names.append(head.constructor_name)
-        return cls(names)
+        its own name, parameters and members, a record's constructor among them."""
+        params = (n for b in head.params for n in b.names)
+        return cls([head.name, *params, *(m.name for m in decl_members(head))])
 
     def fresh(self, name: str, avoid: Container[str] = ()) -> str:
         while name in self.taken or name in avoid or name in RESERVED_WORDS:

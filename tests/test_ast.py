@@ -1,5 +1,6 @@
 """Equality, hashing and repr of the syntax-tree, declaration and theory
-classes: structural ``==`` that ignores positions and never recurses."""
+classes: structural ``==`` that ignores positions and never recurses; and
+the members a declaration adds to its module."""
 
 from __future__ import annotations
 
@@ -27,10 +28,12 @@ from theoryforge.ast import (
     Var,
     apply_spine,
     arrow_chain,
+    decl_members,
     write_repr,
 )
 from theoryforge.checker import CheckError
 from theoryforge.parser import parse_decl
+from theoryforge.printer import print_type
 from theoryforge.theory import Axiom, EqTheory, RenameScheme, extract
 
 DEEP = 5000
@@ -149,6 +152,24 @@ def test_nodes_of_different_classes_are_never_equal():
     assert TyApp("F", [SortRef("A")]) != TyApp("F", [TyApp("A", [])])
     assert SortRef("A") != "A" and SetKind() != None  # noqa: E711
     assert Axiom("a", [], Var("x"), Var("x")) != Equation(Var("x"), Var("x"))
+
+
+@pytest.mark.parametrize(
+    "source, members",
+    [
+        (
+            MONOID_TIGHT,
+            [("e", "A", (4, 5)), ("op", "A → A → A", (5, 5)),
+             ("assoc", "{x y z : A} → op x (op y z) == op (op x y) z", (6, 5)), ("monoid", None, (1, 1))],
+        ),
+        ("data N : Set where\n  z : N\n  s : N → N\n", [("z", "N", (2, 3)), ("s", "N → N", (3, 3))]),
+    ],
+    ids=["record", "data"],
+)
+def test_the_members_of_a_declaration_are_listed_in_order_with_type_and_position(source, members):
+    # a record's constructor comes last, has no type and stands at the record
+    listed = decl_members(parse_decl(source))
+    assert [(m.name, m.ty and print_type(m.ty), m.pos) for m in listed] == members
 
 
 UNHASHABLE = [

@@ -24,7 +24,7 @@ from theoryforge.ast import (
     Structure,
     Sym,
     TyApp,
-    decl_member_names,
+    decl_members,
     spine,
 )
 from theoryforge.generators import gen_all, prod_decl
@@ -207,12 +207,47 @@ N_RECORD = "record N (A : Set) (e : A) : Set where\n\n"
         ("record Mo (A : Set) : Set where\n\nrecord R (Mo : Set) : Set where\n  field\n    g : Mo\n", []),
         ("record R (A : Set) : Set where\n  field\n    g : A A\n", ["m:3:9: ArityMismatch: sort 'A' takes no arguments"]),
         ("record R (A : Set) (A : Set) : Set where\n", ["m:1:20: DuplicateField: parameter 'A' repeats an earlier name"]),
+        # a field may not repeat a parameter name, a sort's or a term's
+        (
+            "record R (A : Set) : Set where\n  field\n    A : A\n",
+            ["m:3:5: DuplicateField: field 'A' repeats a parameter name"],
+        ),
+        (
+            "record R (A : Set) (e : A) : Set where\n  field\n    e : A\n",
+            ["m:3:5: DuplicateField: field 'e' repeats a parameter name"],
+        ),
+        # a record's constructor is a member, but no term
+        (
+            "record M (A : Set) : Set where\n  constructor mk\n  field\n    f : A\n\n"
+            "record R (B : Set) : Set where\n  constructor rC\n  field\n    g : (x : B) → x == mk\n",
+            ["m:9:24: SortMismatch: constructor 'mk' of record 'M' cannot be used here"],
+        ),
+        # the data type being declared is a type where a term is expected
+        ("data D : Set where\n  c : (x : D) → x == D\n", ["m:2:22: SortMismatch: 'D' is a type, not a term"]),
+        # of two members with one name the first declared is read: here a data constructor
+        (
+            "data D : Set where\n  g : D\n\nrecord R (A : Set) : Set where\n  field\n    g : A → A\n\n"
+            "record S (B : Set) (r : R B) : Set where\n  field\n    w : (x : B) → g r x == x\n    v : g == g\n",
+            [
+                "m:6:5: DuplicateField: member name 'g' is already used"
+                " (all field and constructor names must be distinct across the module)",
+                "m:10:19: ArityMismatch: 'g' expects 0 argument(s), got 2",
+            ],
+        ),
+        # a term argument that names both a member and a type reads as the member
+        (
+            N_RECORD + "record F (X : Set) : Set where\n  field\n    N : X\n\n"
+            "record P (B : Set) (x : N B N) : Set where\n",
+            ["m:7:29: SortMismatch: argument of 'N' must be a term of type B, got N"],
+        ),
     ],
     ids=["type-for-term-and-term-for-type", "term-argument", "unknown-term", "type-application-for-term",
          "dependent-parameter", "axiom-parameter", "self-applied-data", "projection-of-a-duplicate-record",
          "projection-of-a-duplicate-record-with-other-parameter-names",
          "projection-through-two-sorts", "projection-through-no-parameters", "shadowing-sort-applied",
-         "shadowing-sort-bare", "applied-sort", "repeated-parameter"],
+         "shadowing-sort-bare", "applied-sort", "repeated-parameter", "field-repeats-sort-parameter",
+         "field-repeats-term-parameter", "record-constructor-in-a-term", "own-data-type-in-a-term",
+         "first-declared-member-wins", "member-and-type-as-term-argument"],
 )
 def test_type_application_arguments_are_checked_against_the_parameters(source, lines):
     assert format_errors(check_module(parse_file(source)), "m").splitlines() == lines
@@ -271,7 +306,8 @@ def _decls(draw):
     )
     members = "".join(f"    {draw(_NAMES)} : {draw(_types())}\n" for _ in range(draw(st.integers(0, 2))))
     if keyword == "record":
-        return f"record {draw(_NAMES)}{params} : Set where\n  field\n{members}"
+        constructor = draw(st.one_of(st.just(""), _NAMES.map("  constructor {}\n".format)))
+        return f"record {draw(_NAMES)}{params} : Set where\n{constructor}  field\n{members}"
     return f"data {draw(_NAMES)}{params} : Set where\n{members}"
 
 
@@ -377,7 +413,7 @@ def _mutated_modules(text):
     and in every declaration the first sort parameter is renamed, in its
     uses only, to a name nothing binds."""
     decls = parse_file(text)
-    fields = set(decl_member_names(decls[0]))
+    fields = {m.name for m in decl_members(decls[0])}
     for d in decls[1:]:
         for m in _members(d):
             for n in _nodes(m.ty):

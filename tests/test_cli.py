@@ -709,6 +709,19 @@ def test_a_record_whose_member_takes_the_default_constructor_name_fails_check(wo
     assert "DuplicateField: member name 'MC' is already used" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("params, field", [("(A : Set)", "A"), ("(A : Set) (e : A)", "e")], ids=["sort", "term"])
+def test_a_field_that_repeats_a_parameter_name_fails_check_and_gen(workdir, capsys, params, field):
+    # gen would otherwise find the name declared twice in the theory
+    source = workdir / "r.eqt"
+    source.write_text(f"record R {params} : Set where\n  field\n    {field} : A\n", encoding="utf-8")
+    assert main(["check", str(source)]) == 2
+    out = capsys.readouterr().out
+    assert out == f"{source}:3:5: DuplicateField: field {field!r} repeats a parameter name\n"
+    assert main(["gen", str(source), "--out", "out"]) == 2
+    assert capsys.readouterr().out == out
+    assert not (workdir / "out").exists()
+
+
 def test_out_on_a_regular_file_fails_the_same_on_any_number_of_processes(workdir, capsys):
     (workdir / "taken").write_text("", encoding="utf-8")
     errors = []

@@ -21,7 +21,7 @@ from theoryforge.ast import (
     TypeExpr,
     Var,
     arrow_chain,
-    decl_member_names,
+    decl_members,
     map_names,
 )
 from theoryforge.checker import check_module
@@ -175,9 +175,7 @@ def _bindings(d: Decl) -> tuple[list[str], list[str], list[str]]:
     """The names a declaration binds: module-wide ones (its name,
     constructor and members), its parameters, and its quantified variables."""
     members = d.fields if isinstance(d, RecordDecl) else d.constructors
-    module_wide = [d.name, *decl_member_names(d)]
-    if isinstance(d, RecordDecl):
-        module_wide.append(d.constructor_name)
+    module_wide = [d.name, *(m.name for m in decl_members(d))]
     params = [n for b in d.params for n in b.names]
     return module_wide, params, [n for m in members for n in _quantified(m.ty)]
 
