@@ -102,6 +102,13 @@ def _same_sort(a: TypeExpr, b: TypeExpr) -> bool:
     return True
 
 
+def _is_axiom(ty: TypeExpr) -> bool:
+    """``ty`` is an equation, quantified or not."""
+    while type(ty) is Quant:
+        ty = ty.body
+    return type(ty) is Equation
+
+
 def _put_in(p: str, a: TypeExpr, sorts: dict[str, TypeExpr], syms: dict[str, str]) -> None:
     """Parameter ``p`` stands for argument ``a`` in types and, if ``a`` is a name, in terms."""
     sorts[p] = a
@@ -135,6 +142,8 @@ class _DeclChecker:
         self.errors: list[CheckError] = []
         self.local_sorts: set[str] = set()
         self.local_terms: dict[str, TypeExpr] = {}
+        # a binder may not take the name of a record's later non-axiom field
+        self.later_fields: set[str] = set()
         self.self_data = d.name if isinstance(d, DataDecl) else None
 
     def error(self, kind: str, message: str, pos: Pos | None) -> None:
@@ -150,7 +159,9 @@ class _DeclChecker:
             self._enter_param(b)
         if isinstance(d, RecordDecl):
             params = self.local_sorts | self.local_terms.keys()
+            self.later_fields = {f.name for f in d.fields if not _is_axiom(f.ty)}
             for f in d.fields:
+                self.later_fields.discard(f.name)
                 if f.name in params:
                     self.error(DUPLICATE_FIELD, f"field {f.name!r} repeats a parameter name", f.pos)
                 self.check_type(f.ty, {})
@@ -227,7 +238,7 @@ class _DeclChecker:
                 for b in ty.binders:
                     self.check_type(b.ty, bound)
                     for n in b.names:
-                        if n in bound or n in self.local_terms or n in self.local_sorts:
+                        if n in bound or n in self.local_terms or n in self.local_sorts or n in self.later_fields:
                             self.error(DUPLICATE_FIELD, f"binder {n!r} shadows another name", b.pos)
                         bound[n] = b.ty
                 ty = ty.body

@@ -8,11 +8,14 @@ A ``.lib`` file holds one entry per theory, in dependency order::
     theory PointedMagma = combine Pointed Magma over Carrier
 
 ``base`` blocks declare the sort first; it becomes the record parameter
-(the carrier), everything after it a field.  ``combine`` forms the union of
-two descendants of a shared ancestor: declarations with the same name are
-identified only when they also occur, with the same type, in the ``over``
-theory — any other name reuse is a :class:`ClashError`, never a silent
-merge.
+(the carrier).  Every entry but ``rename`` is read like a record's fields
+after its parent's, by :func:`theory.add_members`: a ``base`` block after
+its sort, an ``extend`` block after its parent, and ``combine``'s right
+theory's members that the left one lacks after the left one.  ``combine``
+forms the union of two descendants of a shared ancestor: declarations with
+the same name are identified only when they also occur, with the same
+type, in the ``over`` theory — any other name reuse is a
+:class:`ClashError`, never a silent merge.
 """
 
 from __future__ import annotations
@@ -21,16 +24,15 @@ from pathlib import Path
 from typing import NamedTuple, Union
 
 from . import lexer
-from .ast import Binder, Constr, RecordDecl, SetKind, default_constructor
+from .ast import Constr, SetKind
 from .lexer import tokenize
 from .parser import Parser
 from .theory import (
     CollisionError,
     EqTheory,
     ShapeError,
-    extract,
+    add_members,
     rename_with,
-    split_entries,
 )
 
 
@@ -47,7 +49,7 @@ class LibraryError(Exception):
 
 class Base(NamedTuple):
     name: str
-    decl: RecordDecl
+    block: list[Constr]  # the sort first
 
 
 class Extend(NamedTuple):
@@ -89,19 +91,6 @@ def _parent(ctx: Library, name: str, wanted_by: str) -> EqTheory:
     return t
 
 
-def _expand_extend(e: Extend, parent: EqTheory) -> EqTheory:
-    """The block is read like a record's fields after the parent's."""
-    names = set(parent.declared_names())
-    for c in e.new_decls:
-        if isinstance(c.ty, SetKind):
-            raise ShapeError(f"{c.name!r}: the sort may not be re-declared by extend")
-        if c.name in names:
-            raise ClashError(f"{c.name!r} already exists in {parent.name!r}")
-        names.add(c.name)
-    funcs, axioms = split_entries(e.new_decls, parent.sort.name, parent.arities)
-    return EqTheory(e.name, parent.sort, parent.func_types + funcs, parent.axioms + axioms, parent.waist)
-
-
 def _expand_combine(e: Combine, left: EqTheory, right: EqTheory, over: EqTheory) -> EqTheory:
     if not (left.sort == right.sort == over.sort):
         raise ClashError(
@@ -111,37 +100,24 @@ def _expand_combine(e: Combine, left: EqTheory, right: EqTheory, over: EqTheory)
         raise ClashError(
             f"cannot combine {left.name!r} and {right.name!r}: waists differ"
         )
-    left_names = set(left.declared_names())
-    merged = []
-    for mine, theirs, shared in (
-        (left.func_types, right.func_types, over.func_types),
-        (left.axioms, right.axioms, over.axioms),
-    ):
-        mine_by_name = {x.name: x for x in mine}
-        shared_by_name = {x.name: x for x in shared}
-        kept = list(mine)
-        for x in theirs:
-            if x.name not in left_names:
-                kept.append(x)
-            elif mine_by_name.get(x.name) != x or shared_by_name.get(x.name) != x:
-                raise ClashError(
-                    f"{x.name!r} appears on both sides but does not come from {over.name!r}"
-                )
-        merged.append(kept)
-    funcs, axioms = merged
-    result = EqTheory(e.name, left.sort, funcs, axioms, left.waist)
-    names = result.declared_names()
-    if len(set(names)) != len(names):
-        raise ClashError(f"{e.name!r}: combined names are not distinct")
-    return result
+    mine = {x.name: x for x in [*left.func_types, *left.axioms]}
+    shared = {x.name: x for x in [*over.func_types, *over.axioms]}
+    for x in [*right.func_types, *right.axioms]:
+        if x.name in mine and (mine[x.name] != x or shared.get(x.name) != x):
+            raise ClashError(
+                f"{x.name!r} appears on both sides but does not come from {over.name!r}"
+            )
+    lacking = [f for f in right.func_types if f.name not in mine]
+    lacking += [a.to_constr() for a in right.axioms if a.name not in mine]
+    return add_members(left, e.name, lacking)
 
 
 def expand(e: TheoryExpr, ctx: Library) -> EqTheory:
     """Expand one entry against the already-expanded context."""
     if isinstance(e, Base):
-        return extract(e.decl)
+        return add_members(EqTheory(e.name, e.block[0], [], [], 1), e.name, e.block[1:])
     if isinstance(e, Extend):
-        return _expand_extend(e, _parent(ctx, e.parent, e.name))
+        return add_members(_parent(ctx, e.parent, e.name), e.name, e.new_decls)
     if isinstance(e, Rename):
         parent = _parent(ctx, e.parent, e.name)
         values = list(e.mapping.values())
@@ -193,7 +169,10 @@ class _LibParser(Parser):
             raise self._error(f"expected a combinator, got {tok.value!r}", tok, _COMBINATORS)
         self._advance()
         if tok.value == "base":
-            return Base(name, self._assemble_base(name, self._parse_block(), tok))
+            block = self._parse_block()
+            if not block or not isinstance(block[0].ty, SetKind):
+                raise self._error(f"base theory {name!r} must declare its sort first (e.g. 'A : Set')", tok)
+            return Base(name, block)
         if tok.value == "extend":
             parent = self._expect_name().value
             self._expect(lexer.NAME, "with")
@@ -231,13 +210,6 @@ class _LibParser(Parser):
             break
         self._expect(lexer.RPAREN)
         return mapping
-
-    def _assemble_base(self, name: str, decls: list[Constr], tok: lexer.Token) -> RecordDecl:
-        if not decls or not isinstance(decls[0].ty, SetKind):
-            raise self._error(f"base theory {name!r} must declare its sort first (e.g. 'A : Set')", tok)
-        sort = decls[0]
-        params = [Binder([sort.name], sort.ty, pos=sort.pos)]
-        return RecordDecl(name, params, default_constructor(name), decls[1:], pos=(tok.line, tok.col))
 
 
 def parse_library(source: str) -> list[TheoryExpr]:

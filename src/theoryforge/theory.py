@@ -4,10 +4,10 @@ A theory is a telescope: one sort, then function symbols whose types are
 arrow chains over that sort, then equational axioms.  ``waist`` counts how
 many leading telescope entries are record parameters rather than fields.
 
-``extract`` reads this shape off a record declaration, ``embed`` writes it
-back, and ``rename`` rewrites declared names consistently everywhere they
-occur.  ``split_entries`` tells function symbols from axioms, for a
-record's entries and for the block of a library's ``extend`` alike.
+``add_members`` is the one reader of telescope entries, for a record
+(``extract``) and a library's ``base``, ``extend`` and ``combine`` alike;
+``embed`` writes a theory back as a record, and ``rename`` rewrites
+declared names consistently everywhere they occur.
 ``associativity`` builds the one canonical associativity statement, which
 ``associativity_op`` recognises and the product construction restates.
 Quantifier structure of axioms (grouping and hidden/explicit marks) is
@@ -104,7 +104,7 @@ def _check_axiom_term(t: Term, vars_: Container[str], arities: Mapping[str, int]
     raise ShapeError(f"{where}: malformed term")
 
 
-def constr_to_axiom(c: Constr, sort: str, arities: dict[str, int]) -> Axiom:
+def constr_to_axiom(c: Constr, sort: str, arities: Mapping[str, int]) -> Axiom:
     # a curried chain of quantifiers reads as one, its binder groups in order
     binders: list[Binder] = []
     body: TypeExpr = c.ty
@@ -122,21 +122,34 @@ def constr_to_axiom(c: Constr, sort: str, arities: dict[str, int]) -> Axiom:
                 raise ShapeError(f"axiom {c.name!r}: variable {n!r} shadows another name")
             vars_[n] = b.ty
     for side, t in (("left side", body.lhs), ("right side", body.rhs)):
-        _check_axiom_term(t, vars_, arities, f"axiom {c.name!r}, {side}")
+        where = f"axiom {c.name!r}, {side}"
+        head = spine(t)[0]
+        if type(head) is Sym and head.name == sort:
+            raise ShapeError(f"{where}: {sort!r} is a type, not a term")
+        _check_axiom_term(t, vars_, arities, where)
     return Axiom(c.name, binders, body.lhs, body.rhs, pos=c.pos)
 
 
-def split_entries(
-    entries: list[Constr], sort: str, arities: Mapping[str, int]
-) -> tuple[list[Constr], list[Axiom]]:
-    """Split telescope entries that follow the sort into function symbols,
-    the arrow chains over ``sort``, and axioms; a higher-order type is a
-    :class:`ShapeError`.  Each axiom is checked against the arities of the
-    symbols declared before the entries (``arities``) and of every symbol
-    among them, wherever it stands."""
+def add_members(t: EqTheory, name: str, members: list[Constr]) -> EqTheory:
+    """The theory ``name``: ``t`` with ``members`` read after its entries,
+    as a record's fields are.  An arrow chain over the sort is an
+    operation, any other entry an axiom, checked against every operation
+    wherever it stands.  A higher-order type, a second sort or a repeated
+    name is a :class:`ShapeError`, entry by entry, before any axiom's
+    fault; so is an operation named like a variable an axiom binds.  An
+    axiom of ``t`` has only its variables checked, against the new
+    operations."""
+    sort = t.sort.name
+    names = set(t.declared_names())
     funcs: list[Constr] = []
     rest: list[Constr] = []
-    for c in entries:
+    for c in members:
+        if isinstance(c.ty, SetKind):
+            sorts = ", ".join([sort] + [m.name for m in members if isinstance(m.ty, SetKind)])
+            raise ShapeError(f"multiple sorts ({sorts}); theories are single-sorted")
+        if c.name in names:
+            raise ShapeError(f"duplicate declaration name {c.name!r}")
+        names.add(c.name)
         parts = arrow_components(c.ty)
         if all(isinstance(p, SortRef) and p.name == sort for p in parts):
             funcs.append(c)
@@ -144,38 +157,35 @@ def split_entries(
             raise ShapeError(f"{c.name!r}: higher-order argument types are not supported")
         else:
             rest.append(c)
-    arities = {**arities, **{f.name: arity(f.ty) for f in funcs}}
-    return funcs, [constr_to_axiom(c, sort, arities) for c in rest]
+    new = {f.name: arity(f.ty) for f in funcs}
+    for a in t.axioms:
+        for n in a.var_names:
+            if n in new:
+                raise ShapeError(f"axiom {a.name!r}: variable {n!r} shadows another name")
+    arities = {**t.arities, **new}
+    axioms = [constr_to_axiom(c, sort, arities) for c in rest]
+    return EqTheory(name, t.sort, t.func_types + funcs, t.axioms + axioms, t.waist)
 
 
 def extract(d: RecordDecl) -> EqTheory:
     """Read the equational-theory shape off a record declaration.
 
-    The unique ``Set``-typed entry is the sort; the other entries are split
-    by :func:`split_entries`; the parameter count is the waist, so every
-    parameter must be the sort or a function symbol (:func:`embed` puts the
-    axioms after them).  Raises :class:`ShapeError` otherwise.  Messages do
-    not name the record.
+    The first ``Set``-typed entry is the sort; the other entries are read
+    after it by :func:`add_members`; the parameter count is the waist, so
+    every parameter must be the sort or a function symbol (:func:`embed`
+    puts the axioms after them).  Raises :class:`ShapeError` otherwise.
+    Messages do not name the record.
     """
     telescope = [Constr(n, b.ty, pos=b.pos) for b in d.params for n in b.names]
     waist = len(telescope)
     telescope.extend(d.fields)
 
-    sorts = [c for c in telescope if isinstance(c.ty, SetKind)]
-    if not sorts:
+    sort = next((c for c in telescope if isinstance(c.ty, SetKind)), None)
+    if sort is None:
         raise ShapeError("no sort declaration (a field of type Set)")
-    if len(sorts) > 1:
-        names = ", ".join(s.name for s in sorts)
-        raise ShapeError(f"multiple sorts ({names}); theories are single-sorted")
-    sort = sorts[0]
-
-    funcs, axioms = split_entries([c for c in telescope if c is not sort], sort.name, {})
-    t = EqTheory(d.name, sort, funcs, axioms, waist)
-    names = t.declared_names()
-    if len(set(names)) != len(names):
-        raise ShapeError("duplicate declaration names")
+    t = add_members(EqTheory(d.name, sort, [], [], waist), d.name, [c for c in telescope if c is not sort])
     params = {c.name for c in telescope[:waist]}
-    for a in axioms:
+    for a in t.axioms:
         if a.name in params:
             raise ShapeError(
                 f"axiom {a.name!r} is a record parameter; parameters must be the sort and operations"
@@ -321,6 +331,7 @@ __all__ = [
     "EqTheory",
     "RenameScheme",
     "ShapeError",
+    "add_members",
     "associativity",
     "associativity_op",
     "constr_to_axiom",
@@ -329,5 +340,4 @@ __all__ = [
     "mentioned_constants",
     "rename",
     "rename_with",
-    "split_entries",
 ]

@@ -23,6 +23,32 @@ def pytest_report_header() -> str:
     return f"theoryforge: {theoryforge.__file__}"
 
 
+# libraries where an operation takes the name of a variable that an axiom
+# binds: the axiom comes first, through extend or combine, or last
+SHADOWING_LIBRARIES = {
+    "extend": """
+theory Carrier = base { A : Set }
+theory Magma = extend Carrier with { op : A → A → A }
+theory Comm = extend Magma with { comm : (x y : A) → op x y == op y x }
+theory CommX = extend Comm with { x : A }
+""",
+    "combine": """
+theory Carrier = base { A : Set }
+theory Magma = extend Carrier with { op : A → A → A }
+theory Comm = extend Magma with { comm : (x y : A) → op x y == op y x }
+theory PX = extend Magma with { x : A }
+theory CommX = combine Comm PX over Magma
+""",
+    "combine-flipped": """
+theory Carrier = base { A : Set }
+theory Magma = extend Carrier with { op : A → A → A }
+theory Comm = extend Magma with { comm : (x y : A) → op x y == op y x }
+theory PX = extend Magma with { x : A }
+theory CommX = combine PX Comm over Magma
+""",
+}
+
+
 def read_data(name: str) -> str:
     return (DATA / name).read_text(encoding="utf-8")
 

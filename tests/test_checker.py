@@ -234,6 +234,14 @@ N_RECORD = "record N (A : Set) (e : A) : Set where\n\n"
                 "m:10:19: ArityMismatch: 'g' expects 0 argument(s), got 2",
             ],
         ),
+        # an axiom's variable may not take the name of a later operation, as
+        # extract refuses; a later axiom's name is free to take
+        (
+            "record M (A : Set) : Set where\n  field\n    op : A → A → A\n"
+            "    comm : (x y : A) → op x y == op y x\n    x : A\n",
+            ["m:4:12: DuplicateField: binder 'x' shadows another name"],
+        ),
+        ("record M (A : Set) : Set where\n  field\n    u : (x : A) → x == x\n    x : (y : A) → y == y\n", []),
         # a term argument that names both a member and a type reads as the member
         (
             N_RECORD + "record F (X : Set) : Set where\n  field\n    N : X\n\n"
@@ -247,7 +255,8 @@ N_RECORD = "record N (A : Set) (e : A) : Set where\n\n"
          "projection-through-two-sorts", "projection-through-no-parameters", "shadowing-sort-applied",
          "shadowing-sort-bare", "applied-sort", "repeated-parameter", "field-repeats-sort-parameter",
          "field-repeats-term-parameter", "record-constructor-in-a-term", "own-data-type-in-a-term",
-         "first-declared-member-wins", "member-and-type-as-term-argument"],
+         "first-declared-member-wins", "variable-named-like-a-later-operation",
+         "variable-named-like-a-later-axiom", "member-and-type-as-term-argument"],
 )
 def test_type_application_arguments_are_checked_against_the_parameters(source, lines):
     assert format_errors(check_module(parse_file(source)), "m").splitlines() == lines

@@ -13,7 +13,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import theoryforge
-from conftest import DATA, tree_hash
+from conftest import DATA, SHADOWING_LIBRARIES, tree_hash
 from theoryforge.ast import Arrow, Constr, DataDecl, SortRef
 from theoryforge.cli import _process_count, build_config, cmd_gen, main
 from theoryforge.combinators import standard_library_path
@@ -497,6 +497,54 @@ def test_lib_shape_error_names_the_theory_once(workdir, capsys):
     assert captured.err.splitlines() == [
         f"{lib}: while expanding 'T': multiple sorts (A, B); theories are single-sorted"
     ]
+
+
+@pytest.mark.parametrize("name", sorted(SHADOWING_LIBRARIES))
+def test_lib_refuses_an_operation_named_like_an_axiom_variable(workdir, capsys, name):
+    lib = workdir / "shadow.lib"
+    lib.write_text(SHADOWING_LIBRARIES[name], encoding="utf-8")
+    assert main(["lib", str(lib), "--out", "libout"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"{lib}: while expanding 'CommX': axiom 'comm': variable 'x' shadows another name"
+    ]
+    assert not (workdir / "libout").exists()
+
+
+def test_check_refuses_a_variable_named_like_a_later_operation(workdir, capsys):
+    source = workdir / "m.eqt"
+    source.write_text(
+        "record M (A : Set) : Set where\n  field\n    op : A → A → A\n"
+        "    comm : (x y : A) → op x y == op y x\n    x : A\n",
+        encoding="utf-8",
+    )
+    assert main(["check", str(source)]) == 2
+    out = capsys.readouterr().out
+    assert out == f"{source}:4:12: DuplicateField: binder 'x' shadows another name\n"
+    assert main(["gen", str(source), "--out", "out"]) == 2
+    assert capsys.readouterr().out == out
+    assert not (workdir / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("gen", "record R : Set where\n  field\n    e : Set\n    A : e == e\n",
+         "R: axiom 'A', left side: 'e' is a type, not a term"),
+        ("lib", "theory C = base { A : Set }\ntheory S = extend C with { ax : A == A }\n",
+         "while expanding 'S': axiom 'ax', left side: 'A' is a type, not a term"),
+    ],
+    ids=["record", "library"],
+)
+def test_an_equation_between_sorts_names_its_fault(workdir, capsys, command, text, message):
+    path = workdir / f"sorts.{'eqt' if command == 'gen' else 'lib'}"
+    path.write_text(text, encoding="utf-8")
+    assert main([command, str(path), "--out", "out"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"{path}: {message}"]
+    assert not (workdir / "out").exists()
 
 
 def test_lib_accepts_orient_assoc_flag(workdir):

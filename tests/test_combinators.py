@@ -2,8 +2,9 @@ from __future__ import annotations
 
 import pytest
 
-from theoryforge.ast import RecordDecl
+from theoryforge.ast import Binder, RecordDecl
 from theoryforge.combinators import (
+    Base,
     ClashError,
     Combine,
     Extend,
@@ -17,6 +18,8 @@ from theoryforge.combinators import (
 )
 from theoryforge.parser import ParseError, parse_decl
 from theoryforge.theory import EqTheory, ShapeError, embed, extract
+
+from conftest import SHADOWING_LIBRARIES
 
 @pytest.fixture(scope="module")
 def entries():
@@ -112,8 +115,9 @@ def test_extend_may_not_redeclare_the_sort():
 theory Carrier = base { A : Set }
 theory Bad = extend Carrier with { B : Set }
 """
-    with pytest.raises(LibraryError, match="re-declared"):
+    with pytest.raises(LibraryError) as exc:
         expand_library(parse_library(lib_text))
+    assert str(exc.value) == "while expanding 'Bad': multiple sorts (A, B); theories are single-sorted"
 
 
 def test_extend_rejects_existing_name():
@@ -122,8 +126,9 @@ theory Carrier = base { A : Set }
 theory P = extend Carrier with { e : A }
 theory Bad = extend P with { e : A }
 """
-    with pytest.raises(LibraryError, match="already exists"):
+    with pytest.raises(LibraryError) as exc:
         expand_library(parse_library(lib_text))
+    assert str(exc.value) == "while expanding 'Bad': duplicate declaration name 'e'"
 
 
 def test_extend_sees_symbols_from_its_own_block():
@@ -274,17 +279,74 @@ theory Q = extend Carrier with {
 
 
 def test_base_with_two_operations_of_one_name_is_refused():
-    with pytest.raises(LibraryError, match="duplicate declaration names"):
+    with pytest.raises(LibraryError) as exc:
         expand_library(parse_library("theory T = base { A : Set  f : A  f : A → A }"))
+    assert str(exc.value) == "while expanding 'T': duplicate declaration name 'f'"
+
+
+def _as_record(entry, library) -> RecordDecl:
+    """The record a library entry other than a rename denotes: its
+    parent's record with the entry's new members as further fields.  The
+    parent of a ``combine`` is its left theory, and the new members are
+    those of its right theory that the left one lacks."""
+    if isinstance(entry, Base):
+        sort = entry.block[0]
+        return RecordDecl(entry.name, [Binder([sort.name], sort.ty)], "C", entry.block[1:])
+    if isinstance(entry, Extend):
+        parent, members = embed(library.expanded[entry.parent]), entry.new_decls
+    else:
+        left, right = library.expanded[entry.left], library.expanded[entry.right]
+        parent, have = embed(left), set(left.declared_names())
+        members = [c for c in [*right.func_types, *(a.to_constr() for a in right.axioms)] if c.name not in have]
+    return RecordDecl(entry.name, parent.params, parent.constructor_name, parent.fields + members)
 
 
 def test_extend_reads_its_block_like_record_fields_after_the_parent(library, entries):
-    checked = 0
+    # and so do base and combine entries
+    kinds = set()
     for entry in entries:
-        if not isinstance(entry, Extend):
-            continue
-        parent = embed(library.expanded[entry.parent])
-        record = RecordDecl(entry.name, parent.params, parent.constructor_name, parent.fields + entry.new_decls)
-        assert extract(record) == library.expanded[entry.name], entry.name
-        checked += 1
-    assert checked > 0
+        if not isinstance(entry, Rename):
+            assert extract(_as_record(entry, library)) == library.expanded[entry.name], entry.name
+            kinds.add(type(entry))
+    assert kinds == {Base, Extend, Combine}
+
+
+COMM_X = "op : A → A → A\n    comm : (x y : A) → op x y == op y x\n    x : A"
+
+
+@pytest.mark.parametrize(
+    "library_text, fields, message",
+    [
+        (SHADOWING_LIBRARIES["extend"], COMM_X, "axiom 'comm': variable 'x' shadows another name"),
+        (SHADOWING_LIBRARIES["combine"], COMM_X, "axiom 'comm': variable 'x' shadows another name"),
+        (
+            SHADOWING_LIBRARIES["combine-flipped"],
+            "op : A → A → A\n    x : A\n    comm : (x y : A) → op x y == op y x",
+            "axiom 'comm': variable 'x' shadows another name",
+        ),
+        (
+            "theory C = base { A : Set }\ntheory P = extend C with { e : A }\ntheory Bad = extend P with { e : A }",
+            "e : A\n    e : A",
+            "duplicate declaration name 'e'",
+        ),
+        ("theory Bad = base { A : Set  f : A  f : A → A }", "f : A\n    f : A → A", "duplicate declaration name 'f'"),
+        (
+            "theory C = base { A : Set }\ntheory Bad = extend C with { B : Set }",
+            "B : Set",
+            "multiple sorts (A, B); theories are single-sorted",
+        ),
+        (
+            "theory C = base { A : Set }\ntheory Bad = extend C with { ax : A == A }",
+            "ax : A == A",
+            "axiom 'ax', left side: 'A' is a type, not a term",
+        ),
+    ],
+    ids=["shadow-extend", "shadow-combine", "shadow-combine-flipped", "repeated-name-extend",
+         "repeated-name-base", "second-sort", "equation-between-sorts"],
+)
+def test_a_library_entry_is_refused_as_its_record_is(library_text, fields, message):
+    with pytest.raises(LibraryError) as lib:
+        expand_library(parse_library(library_text))
+    with pytest.raises(ShapeError) as record:
+        extract(parse_decl(f"record M (A : Set) : Set where\n  field\n    {fields}"))
+    assert str(lib.value.cause) == str(record.value) == message
