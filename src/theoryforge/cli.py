@@ -14,20 +14,21 @@ not parse or does not expand is reported on one stderr line
 (:func:`_load`).  Output is a pure function of the inputs and the run
 configuration.
 
-Each theory goes through one unit of work: generate, print, reparse and
-check the module text, then write its files, which happens only when the
-module checks clean.  The theories are dealt out in a stride over N
-processes, one per CPU this process may run on unless ``--jobs N`` says
-otherwise, and never more than there are theories: this process runs
-theories 0, N, 2N, ... and N - 1 forked processes run the rest, each
-writing its own theories' files and sending back a small record per
-theory.  A theory whose generation or write fails gets a record that
-carries the message, and every other theory is still generated and
-written.  Records are merged in theory order and the first failure in
-that order is the one reported, so standard output, standard error, the
-exit code and the output tree are the same for any N.  Without ``fork``,
-or when this process already runs more than one thread (a fork copies
-only the calling thread), the same unit runs in a plain loop.
+Each theory goes through one unit of work: read a ``gen`` declaration as
+a theory, generate, print, reparse and check the module text, then write
+its files, which happens only when the module checks clean.  The theories
+are dealt out in a stride over N processes, one per CPU this process may
+run on unless ``--jobs N`` says otherwise, and never more than there are
+theories: this process runs theories 0, N, 2N, ... and N-1 forked
+processes run the rest, each writing its own theories' files and sending
+back a small record per theory.  A declaration that is not a theory, and
+a theory whose generation or write fails, gets a record that carries the
+message, and every other theory is still generated and written.  Records
+are merged in theory order and the first failure in that order is the one
+reported, so standard output, standard error, the exit code and the
+output tree are the same for any N.  Without ``fork``, or when this
+process already runs more than one thread (a fork copies only the calling
+thread), the same unit runs in a plain loop.
 
 Generated layout, per theory: ``<out>/<Theory>/<Theory><Kind>.gen.eqt`` for
 each construction plus ``<out>/<Theory>/module.gen.eqt`` holding the input
@@ -197,7 +198,7 @@ class TheoryOutput(NamedTuple):
 
 class TheoryRecord(NamedTuple):
     """What a run keeps of one theory: its counts and check lines, or the
-    message of the generation or write failure that stopped it."""
+    message of the failure that stopped it."""
 
     definitions: int
     lines: int
@@ -269,13 +270,22 @@ def _check_output_module(out: TheoryOutput, out_dir: Path) -> list[str]:
     return [e.format(filename) for e in errors]
 
 
-def _run_theory(t: EqTheory, decl: Decl | None, cfg: RunConfig) -> TheoryRecord:
-    """The per-theory unit: generate, print, reparse and check, then write
-    the files only if the module checks clean.  A :class:`GenError` or a
-    failed write, which leaves none of the theory's files, ends the unit
-    with the record of its message."""
+def _run_theory(item: EqTheory | Decl, cfg: RunConfig) -> TheoryRecord:
+    """The per-theory unit, the one place that decides what becomes of a
+    theory: read ``item``, a theory ``lib`` expanded or a ``gen``
+    declaration, as a theory, then generate, print, reparse and check, and
+    write the files only if the module checks clean.  A declaration that is
+    not a theory, a :class:`GenError` or a failed write, which leaves none
+    of the theory's files, ends the unit with the record of its message."""
     try:
-        out = generate_for_theory(t, cfg, decl)
+        if isinstance(item, EqTheory):
+            out = generate_for_theory(item, cfg)
+        elif isinstance(item, RecordDecl):
+            out = generate_for_theory(extract(item), cfg, item)
+        else:
+            return TheoryRecord(0, 0, [], f"{item.name} is not a record, nothing to generate")
+    except ShapeError as e:
+        return TheoryRecord(0, 0, [], f"{item.name}: {e}")
     except GenError as e:
         return TheoryRecord(0, 0, [], str(e))
     check_lines = _check_output_module(out, cfg.out_dir) if out.files else []
@@ -383,7 +393,7 @@ def _process_count(jobs: int | None, theories: int) -> int:
 
 
 def _generate_batch(
-    path: Path, theories: list[tuple[EqTheory, Decl | None]], cfg: RunConfig
+    path: Path, theories: list[EqTheory] | list[Decl], cfg: RunConfig
 ) -> tuple[list[TheoryRecord], int]:
     """Generate, check, and write a list of theories read from ``path`` on
     up to :func:`_process_count` processes.  Returns one record per theory,
@@ -392,7 +402,7 @@ def _generate_batch(
     and the code is ``EXIT_GEN``; otherwise check lines give
     ``EXIT_CHECK``."""
     n = _process_count(cfg.jobs, len(theories))
-    shares = _run_shares(lambda k, step: [_run_theory(t, decl, cfg) for t, decl in theories[k::step]], n)
+    shares = _run_shares(lambda k, step: [_run_theory(item, cfg) for item in theories[k::step]], n)
     records = [shares[i % n][i // n] for i in range(len(theories))]
     error = next((record.error for record in records if record.error is not None), None)
     if error is not None:
@@ -446,18 +456,7 @@ def cmd_gen(path: Path, cfg: RunConfig) -> int:
     if errors:
         print(format_errors(errors, str(path)))
         return EXIT_CHECK
-
-    theories: list[tuple[EqTheory, Decl | None]] = []
-    for d in decls:
-        if not isinstance(d, RecordDecl):
-            print(f"{path}: {d.name} is not a record, nothing to generate", file=sys.stderr)
-            return EXIT_GEN
-        try:
-            theories.append((extract(d), d))
-        except ShapeError as e:
-            print(f"{path}: {d.name}: {e}", file=sys.stderr)
-            return EXIT_GEN
-    return _generate_batch(path, theories, cfg)[1]
+    return _generate_batch(path, decls, cfg)[1]
 
 
 def cmd_lib(path: Path, cfg: RunConfig) -> int:
@@ -465,8 +464,7 @@ def cmd_lib(path: Path, cfg: RunConfig) -> int:
     if library is None:
         return code
 
-    theories: list[tuple[EqTheory, Decl | None]] = [(t, None) for t in library.theories()]
-    records, code = _generate_batch(path, theories, cfg)
+    records, code = _generate_batch(path, library.theories(), cfg)
     if code != EXIT_OK:
         return code
     definitions = sum(record.definitions for record in records)

@@ -83,7 +83,9 @@ class EqTheory(Structure):
 
 # -- extraction -----------------------------------------------------------------
 
-def _check_axiom_term(t: Term, vars_: Container[str], arities: Mapping[str, int], where: str) -> None:
+def _check_axiom_term(
+    t: Term, vars_: Container[str], arities: Mapping[str, int], where: str, sort: str | None = None
+) -> None:
     head, args = spine(t)
     if isinstance(head, Var):
         if head.name not in vars_:
@@ -92,6 +94,8 @@ def _check_axiom_term(t: Term, vars_: Container[str], arities: Mapping[str, int]
             raise ShapeError(f"{where}: variable {head.name!r} applied to arguments")
         return
     if isinstance(head, Sym):
+        if head.name == sort:
+            raise ShapeError(f"{where}: {sort!r} is a type, not a term")
         if head.name not in arities:
             raise ShapeError(f"{where}: unknown symbol {head.name!r}")
         if len(args) != arities[head.name]:
@@ -99,7 +103,7 @@ def _check_axiom_term(t: Term, vars_: Container[str], arities: Mapping[str, int]
                 f"{where}: {head.name!r} expects {arities[head.name]} arguments, got {len(args)}"
             )
         for a in args:
-            _check_axiom_term(a, vars_, arities, where)
+            _check_axiom_term(a, vars_, arities, where, sort)
         return
     raise ShapeError(f"{where}: malformed term")
 
@@ -122,11 +126,7 @@ def constr_to_axiom(c: Constr, sort: str, arities: Mapping[str, int]) -> Axiom:
                 raise ShapeError(f"axiom {c.name!r}: variable {n!r} shadows another name")
             vars_[n] = b.ty
     for side, t in (("left side", body.lhs), ("right side", body.rhs)):
-        where = f"axiom {c.name!r}, {side}"
-        head = spine(t)[0]
-        if type(head) is Sym and head.name == sort:
-            raise ShapeError(f"{where}: {sort!r} is a type, not a term")
-        _check_axiom_term(t, vars_, arities, where)
+        _check_axiom_term(t, vars_, arities, f"axiom {c.name!r}, {side}", sort)
     return Axiom(c.name, binders, body.lhs, body.rhs, pos=c.pos)
 
 

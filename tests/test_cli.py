@@ -534,8 +534,10 @@ def test_check_refuses_a_variable_named_like_a_later_operation(workdir, capsys):
          "R: axiom 'A', left side: 'e' is a type, not a term"),
         ("lib", "theory C = base { A : Set }\ntheory S = extend C with { ax : A == A }\n",
          "while expanding 'S': axiom 'ax', left side: 'A' is a type, not a term"),
+        ("lib", "theory C = base { A : Set }\ntheory S = extend C with { op : A → A → A  ax : (x : A) → op A x == x }\n",
+         "while expanding 'S': axiom 'ax', left side: 'A' is a type, not a term"),
     ],
-    ids=["record", "library"],
+    ids=["record", "library", "library-argument"],
 )
 def test_an_equation_between_sorts_names_its_fault(workdir, capsys, command, text, message):
     path = workdir / f"sorts.{'eqt' if command == 'gen' else 'lib'}"
@@ -631,15 +633,23 @@ def test_gen_failure_names_the_first_failing_theory_on_any_number_of_processes(w
     # go, so both fail to write; at --jobs 2 A2 (index 2) fails in this
     # process and A1 (index 1) in the forked one, and A1 is reported.
     # "generation": W's sort is a field, so its hom cannot be generated.
-    # Either way, every other theory is written, on any number of processes.
+    # "shape": W has two sorts, so it is not a theory.
+    # "not-a-record": D is a data type.
+    # In every row, every other theory is written, on any number of processes.
     monoid = (DATA / "monoid.eqt").read_text(encoding="utf-8")
     waist_zero = "record W : Set where\n  field\n    A : Set\n"
+    two_sorts = "record W (A : Set) : Set where\n  field\n    B : Set\n"
     rows = {
-        "write": (_plain("A1"), ["A1", "A2"], ["A3", "Monoid"]),
-        "generation": (waist_zero, [], ["A2", "A3", "Monoid"]),
+        "write": (_plain("A1"), ["A1", "A2"], ["A3", "Monoid"], None),
+        "generation": (
+            waist_zero, [], ["A2", "A3", "Monoid"],
+            "W: homomorphisms need the carrier as a record parameter (waist >= 1)",
+        ),
+        "shape": (two_sorts, [], ["A2", "A3", "Monoid"], "W: multiple sorts (A, B); theories are single-sorted"),
+        "not-a-record": ("data D : Set where\n", [], ["A2", "A3", "Monoid"], "D is not a record, nothing to generate"),
     }
     out = workdir / "out"
-    for row, (second, blocked, written) in rows.items():
+    for row, (second, blocked, written, message) in rows.items():
         source = workdir / f"{row}.eqt"
         source.write_text("\n".join([monoid, second, _plain("A2"), _plain("A3")]), encoding="utf-8")
         runs = []
@@ -657,14 +667,30 @@ def test_gen_failure_names_the_first_failing_theory_on_any_number_of_processes(w
         assert all(run == runs[0] for run in runs), row
         code, captured, _ = runs[0]
         assert code == 3 and captured.out == ""
-        if row == "write":
+        if message is None:
             assert captured.err.startswith(f"{source}: cannot write to out: ")
             assert "'out/A1'" in captured.err and "A2" not in captured.err
             assert captured.err.count("\n") == 1
         else:
-            assert captured.err == (
-                f"{source}: W: homomorphisms need the carrier as a record parameter (waist >= 1)\n"
-            )
+            assert captured.err == f"{source}: {message}\n", row
+
+
+def test_gen_reports_the_first_failure_in_input_order_whatever_its_kind(workdir, capsys):
+    # W fails in generation and W2 is not a theory; W comes first in the
+    # file, so W is reported, on whichever process each of them ran
+    source = workdir / "order.eqt"
+    source.write_text(
+        "record W : Set where\n  field\n    A : Set\n\nrecord W2 (A : Set) : Set where\n  field\n    B : Set\n",
+        encoding="utf-8",
+    )
+    for jobs in ("1", "2", "3", "default"):
+        argv = ["gen", str(source), "--out", "out"]
+        assert main(argv if jobs == "default" else [*argv, "--jobs", jobs]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{source}: W: homomorphisms need the carrier as a record parameter (waist >= 1)\n"
+        assert not (workdir / "out").exists()
+        assert no_child_left()
 
 
 

@@ -340,9 +340,14 @@ COMM_X = "op : A → A → A\n    comm : (x y : A) → op x y == op y x\n    x :
             "ax : A == A",
             "axiom 'ax', left side: 'A' is a type, not a term",
         ),
+        (
+            "theory C = base { A : Set }\ntheory Bad = extend C with { op : A → A → A  ax : (x : A) → op A x == x }",
+            "op : A → A → A\n    ax : (x : A) → op A x == x",
+            "axiom 'ax', left side: 'A' is a type, not a term",
+        ),
     ],
     ids=["shadow-extend", "shadow-combine", "shadow-combine-flipped", "repeated-name-extend",
-         "repeated-name-base", "second-sort", "equation-between-sorts"],
+         "repeated-name-base", "second-sort", "equation-between-sorts", "sort-as-argument"],
 )
 def test_a_library_entry_is_refused_as_its_record_is(library_text, fields, message):
     with pytest.raises(LibraryError) as lib:

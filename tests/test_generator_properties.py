@@ -131,6 +131,18 @@ def test_every_declaration_reparses_to_itself(decl):
         assert parse_file(print_decl(d)) == [d]
 
 
+def test_every_library_module_with_all_seven_constructions_reparses_to_what_was_generated(library):
+    # the print → parse round trip that the per-theory unit runs on every
+    # module, held here for whole modules and not only declaration by declaration
+    from theoryforge.cli import RunConfig, generate_for_theory
+
+    theories = library.theories()
+    for t in theories:
+        out = generate_for_theory(t, RunConfig(kinds=tuple(ALL_KINDS)))
+        assert parse_file(out.module_text) == module(embed(t), t, ALL_KINDS), t.name
+    assert len(theories) == 62
+
+
 # -- curried quantifiers -----------------------------------------------------------
 
 @given(theory_decls(), st.data())

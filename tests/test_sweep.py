@@ -9,8 +9,9 @@ unit with all seven constructions, in memory and without writing.  Every
 record falls in one class, and the pinned table of class counts measures
 how far ``check`` and ``gen`` agree: each ``gen`` row is a record that
 ``check`` accepts and ``gen`` refuses (exit 3).  An input that raises
-fails the sweep.  Method: Runciman, Naylor & Lindblad, "SmallCheck and
-Lazy SmallCheck" (Haskell Symposium 2008).
+fails the sweep, and so does a clean module that does not reparse to the
+declarations it was printed from.  Method: Runciman, Naylor & Lindblad,
+"SmallCheck and Lazy SmallCheck" (Haskell Symposium 2008).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from pathlib import Path
 
 from theoryforge.checker import check_module
 from theoryforge.cli import RunConfig, _check_output_module, generate_for_theory
-from theoryforge.generators import GenError, GenKind
+from theoryforge.generators import GenError, GenKind, NameSupply, gen_all, prod_decl
 from theoryforge.parser import parse_file
 from theoryforge.theory import ShapeError, extract
 
@@ -65,10 +66,16 @@ def classify(source: str, cfg: RunConfig) -> str:
     if check_module(decls):
         return CHECK_REJECTS
     try:
-        out = generate_for_theory(extract(decl), cfg, decl)
+        t = extract(decl)
+        out = generate_for_theory(t, cfg, decl)
     except (ShapeError, GenError) as e:
         return gen_refuses(str(e))
-    return MODULE_FAILS if _check_output_module(out, Path("out")) else GENERATES
+    if _check_output_module(out, Path("out")):
+        return MODULE_FAILS
+    # the module reads back as what was generated, with every construction
+    names = NameSupply.for_module(decl)
+    assert parse_file(out.module_text) == [decl, prod_decl(names), *gen_all(t, cfg.kinds, cfg.suffixes, names)], source
+    return GENERATES
 
 
 # Each gen row is a disagreement between check and gen (ROADMAP item 3);
