@@ -11,11 +11,12 @@ A ``.lib`` file holds one entry per theory, in dependency order::
 (the carrier).  Every entry but ``rename`` is read like a record's fields
 after its parent's, by :func:`theory.add_members`: a ``base`` block after
 its sort, an ``extend`` block after its parent, and ``combine``'s right
-theory's members that the left one lacks after the left one.  ``combine``
-forms the union of two descendants of a shared ancestor: declarations with
-the same name are identified only when they also occur, with the same
-type, in the ``over`` theory — any other name reuse is a
-:class:`ClashError`, never a silent merge.
+theory's operations that the left one lacks after the left one, with its
+axioms after the left one's as already read, so no axiom is read twice.
+``combine`` forms the union of two descendants of a shared ancestor:
+declarations with the same name are identified only when they also
+occur, with the same type, in the ``over`` theory — any other name reuse
+is a :class:`ClashError`, never a silent merge.
 """
 
 from __future__ import annotations
@@ -107,9 +108,9 @@ def _expand_combine(e: Combine, left: EqTheory, right: EqTheory, over: EqTheory)
             raise ClashError(
                 f"{x.name!r} appears on both sides but does not come from {over.name!r}"
             )
-    lacking = [f for f in right.func_types if f.name not in mine]
-    lacking += [a.to_constr() for a in right.axioms if a.name not in mine]
-    return add_members(left, e.name, lacking)
+    axioms = left.axioms + [a for a in right.axioms if a.name not in mine]
+    t = EqTheory(e.name, left.sort, left.func_types, axioms, left.waist)
+    return add_members(t, e.name, [f for f in right.func_types if f.name not in mine])
 
 
 def expand(e: TheoryExpr, ctx: Library) -> EqTheory:

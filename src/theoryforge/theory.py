@@ -108,8 +108,21 @@ def _check_axiom_term(
     raise ShapeError(f"{where}: malformed term")
 
 
-def constr_to_axiom(c: Constr, sort: str, arities: Mapping[str, int]) -> Axiom:
-    # a curried chain of quantifiers reads as one, its binder groups in order
+def _variables(axiom: str, binders: list[Binder], sort: str, taken: Container[str]) -> set[str]:
+    vars_: set[str] = set()
+    for b in binders:
+        if not (isinstance(b.ty, SortRef) and b.ty.name == sort):
+            raise ShapeError(f"axiom {axiom!r}: variables must range over the sort {sort!r}")
+        for n in b.names:
+            if n in vars_ or n in taken:
+                raise ShapeError(f"axiom {axiom!r}: variable {n!r} shadows another name")
+            vars_.add(n)
+    return vars_
+
+
+def constr_to_axiom(c: Constr, sort: str, arities: Mapping[str, int], taken: Container[str]) -> Axiom:
+    """The axiom ``c`` states, a curried chain of quantifiers read as one:
+    each variable over the sort and named unlike ``taken``, then its sides."""
     binders: list[Binder] = []
     body: TypeExpr = c.ty
     while isinstance(body, Quant):
@@ -117,14 +130,7 @@ def constr_to_axiom(c: Constr, sort: str, arities: Mapping[str, int]) -> Axiom:
         body = body.body
     if not isinstance(body, Equation):
         raise ShapeError(f"{c.name!r} is neither an operation over the sort nor an equation")
-    vars_: dict[str, TypeExpr] = {}
-    for b in binders:
-        if not (isinstance(b.ty, SortRef) and b.ty.name == sort):
-            raise ShapeError(f"axiom {c.name!r}: variables must range over the sort {sort!r}")
-        for n in b.names:
-            if n in vars_ or n in arities or n == sort:
-                raise ShapeError(f"axiom {c.name!r}: variable {n!r} shadows another name")
-            vars_[n] = b.ty
+    vars_ = _variables(c.name, binders, sort, taken)
     for side, t in (("left side", body.lhs), ("right side", body.rhs)):
         _check_axiom_term(t, vars_, arities, f"axiom {c.name!r}, {side}", sort)
     return Axiom(c.name, binders, body.lhs, body.rhs, pos=c.pos)
@@ -136,9 +142,8 @@ def add_members(t: EqTheory, name: str, members: list[Constr]) -> EqTheory:
     operation, any other entry an axiom, checked against every operation
     wherever it stands.  A higher-order type, a second sort or a repeated
     name is a :class:`ShapeError`, entry by entry, before any axiom's
-    fault; so is an operation named like a variable an axiom binds.  An
-    axiom of ``t`` has only its variables checked, against the new
-    operations."""
+    fault.  No variable may take the name of the sort, of any operation or
+    of an earlier axiom; an axiom of ``t`` has only its variables checked."""
     sort = t.sort.name
     names = set(t.declared_names())
     funcs: list[Constr] = []
@@ -157,14 +162,17 @@ def add_members(t: EqTheory, name: str, members: list[Constr]) -> EqTheory:
             raise ShapeError(f"{c.name!r}: higher-order argument types are not supported")
         else:
             rest.append(c)
-    new = {f.name: arity(f.ty) for f in funcs}
-    for a in t.axioms:
-        for n in a.var_names:
-            if n in new:
-                raise ShapeError(f"axiom {a.name!r}: variable {n!r} shadows another name")
-    arities = {**t.arities, **new}
-    axioms = [constr_to_axiom(c, sort, arities) for c in rest]
-    return EqTheory(name, t.sort, t.func_types + funcs, t.axioms + axioms, t.waist)
+    arities = {**t.arities, **{f.name: arity(f.ty) for f in funcs}}
+    taken = {sort, *arities}
+    axioms: list[Axiom] = []
+    for a in [*t.axioms, *rest]:
+        if isinstance(a, Constr):
+            a = constr_to_axiom(a, sort, arities, taken)
+        else:
+            _variables(a.name, a.binders, sort, taken)
+        axioms.append(a)
+        taken.add(a.name)
+    return EqTheory(name, t.sort, t.func_types + funcs, axioms, t.waist)
 
 
 def extract(d: RecordDecl) -> EqTheory:

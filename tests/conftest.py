@@ -48,6 +48,22 @@ theory CommX = combine PX Comm over Magma
 """,
 }
 
+# libraries where an axiom binds a variable named like an earlier axiom:
+# both axioms in one extend, or the earlier one on combine's left side;
+# the refused entry is the last
+EARLIER_AXIOM_LIBRARIES = {
+    "extend": """
+theory C = base { A : Set  f : A → A }
+theory D = extend C with { x : (y : A) → f y == y  e : (x : A) → f x == x }
+""",
+    "combine": """
+theory C = base { A : Set  f : A → A }
+theory L = extend C with { x : (y : A) → f y == y }
+theory R = extend C with { e : (x : A) → f x == x }
+theory M = combine L R over C
+""",
+}
+
 
 def read_data(name: str) -> str:
     return (DATA / name).read_text(encoding="utf-8")

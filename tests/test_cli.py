@@ -13,7 +13,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import theoryforge
-from conftest import DATA, SHADOWING_LIBRARIES, tree_hash
+from conftest import DATA, EARLIER_AXIOM_LIBRARIES, SHADOWING_LIBRARIES, tree_hash
 from theoryforge.ast import Arrow, Constr, DataDecl, SortRef
 from theoryforge.cli import _process_count, build_config, cmd_gen, main
 from theoryforge.combinators import standard_library_path
@@ -510,6 +510,20 @@ def test_lib_refuses_an_operation_named_like_an_axiom_variable(workdir, capsys, 
         f"{lib}: while expanding 'CommX': axiom 'comm': variable 'x' shadows another name"
     ]
     assert not (workdir / "libout").exists()
+
+
+@pytest.mark.parametrize("name, entry", [("extend", "D"), ("combine", "M")])
+def test_lib_refuses_a_variable_named_like_an_earlier_axiom(workdir, capsys, name, entry):
+    lib = workdir / "ax.lib"
+    lib.write_text(EARLIER_AXIOM_LIBRARIES[name], encoding="utf-8")
+    for jobs in ([], ["--jobs", "1"]):
+        assert main(["lib", str(lib), "--out", "libout", *jobs]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"{lib}: while expanding '{entry}': axiom 'e': variable 'x' shadows another name"
+        ]
+        assert not (workdir / "libout").exists()
 
 
 def test_check_refuses_a_variable_named_like_a_later_operation(workdir, capsys):

@@ -16,10 +16,12 @@ from theoryforge.combinators import (
     parse_library,
     standard_library_path,
 )
-from theoryforge.parser import ParseError, parse_decl
+from theoryforge import theory
+from theoryforge.checker import check_module
+from theoryforge.parser import ParseError, parse_decl, parse_file
 from theoryforge.theory import EqTheory, ShapeError, embed, extract
 
-from conftest import SHADOWING_LIBRARIES
+from conftest import EARLIER_AXIOM_LIBRARIES, SHADOWING_LIBRARIES
 
 @pytest.fixture(scope="module")
 def entries():
@@ -312,6 +314,7 @@ def test_extend_reads_its_block_like_record_fields_after_the_parent(library, ent
 
 
 COMM_X = "op : A → A → A\n    comm : (x y : A) → op x y == op y x\n    x : A"
+EARLIER_AXIOM = "f : A → A\n    x : (y : A) → f y == y\n    e : (x : A) → f x == x"
 
 
 @pytest.mark.parametrize(
@@ -345,9 +348,12 @@ COMM_X = "op : A → A → A\n    comm : (x y : A) → op x y == op y x\n    x :
             "op : A → A → A\n    ax : (x : A) → op A x == x",
             "axiom 'ax', left side: 'A' is a type, not a term",
         ),
+        (EARLIER_AXIOM_LIBRARIES["extend"], EARLIER_AXIOM, "axiom 'e': variable 'x' shadows another name"),
+        (EARLIER_AXIOM_LIBRARIES["combine"], EARLIER_AXIOM, "axiom 'e': variable 'x' shadows another name"),
     ],
     ids=["shadow-extend", "shadow-combine", "shadow-combine-flipped", "repeated-name-extend",
-         "repeated-name-base", "second-sort", "equation-between-sorts", "sort-as-argument"],
+         "repeated-name-base", "second-sort", "equation-between-sorts", "sort-as-argument",
+         "earlier-axiom-extend", "earlier-axiom-combine"],
 )
 def test_a_library_entry_is_refused_as_its_record_is(library_text, fields, message):
     with pytest.raises(LibraryError) as lib:
@@ -355,3 +361,34 @@ def test_a_library_entry_is_refused_as_its_record_is(library_text, fields, messa
     with pytest.raises(ShapeError) as record:
         extract(parse_decl(f"record M (A : Set) : Set where\n  field\n    {fields}"))
     assert str(lib.value.cause) == str(record.value) == message
+
+
+def test_a_variable_may_take_the_name_of_a_later_axiom():
+    lib = expand_library(parse_library(
+        "theory C = base { A : Set  f : A → A }\n"
+        "theory D = extend C with { e : (x : A) → f x == x  x : (y : A) → f y == y }"
+    ))
+    (record,) = decls = parse_file(
+        "record D (A : Set) : Set where\n  field\n"
+        "    f : A → A\n    e : (x : A) → f x == x\n    x : (y : A) → f y == y\n"
+    )
+    assert check_module(decls) == []
+    assert extract(record) == lib.expanded["D"]
+
+
+def test_each_written_axiom_is_read_once(monkeypatch, entries, library):
+    # combine hands over the axioms its sides have read, so the only
+    # axioms read are those written in base and extend blocks
+    read = []
+    constr_to_axiom = theory.constr_to_axiom
+    monkeypatch.setattr(theory, "constr_to_axiom", lambda c, *rest: read.append(c.name) or constr_to_axiom(c, *rest))
+    expand_library(entries)
+    written = [
+        c.name
+        for e in entries
+        if isinstance(e, (Base, Extend))
+        for c in (e.block[1:] if isinstance(e, Base) else e.new_decls)
+        if c.name in {a.name for a in library.expanded[e.name].axioms}
+    ]
+    assert read == written
+    assert len(read) == 25

@@ -14,7 +14,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from theoryforge.cli import main
+from theoryforge.cli import RunConfig, main
+from theoryforge.generators import GenKind, NameSupply, gen_all, prod_decl
+from theoryforge.parser import parse_file
+from theoryforge.theory import extract
 
 # the parser's limit, pinned here rather than read from the parser
 MAX_NESTING = 200
@@ -138,7 +141,7 @@ def _run(argv: list[str]) -> tuple[int, list[str]]:
 
 def _check_and_generate(text: str, workdir: Path) -> None:
     """``text`` checks, generates all seven constructions, and its module
-    reparses and checks."""
+    reparses to the record and what was generated from it, and checks."""
     source = workdir / "record.eqt"
     source.write_text(text, encoding="utf-8")
     assert _run(["check", str(source)]) == (0, [])
@@ -146,6 +149,11 @@ def _check_and_generate(text: str, workdir: Path) -> None:
     modules = sorted((workdir / "out").rglob("module.gen.eqt"))
     assert [m.parent.name for m in modules] == ["M"]
     assert _run(["check", str(modules[0])]) == (0, [])
+    (decl,) = parse_file(text)
+    names = NameSupply.for_module(decl)
+    cfg = RunConfig(kinds=tuple(GenKind))
+    expected = [decl, prod_decl(names), *gen_all(extract(decl), cfg.kinds, cfg.suffixes, names)]
+    assert parse_file(modules[0].read_text(encoding="utf-8")) == expected
 
 
 @settings(max_examples=12)
