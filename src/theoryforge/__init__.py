@@ -34,7 +34,7 @@ _MODULE_OF = {
         "generators": ("GenKind", "NameSupply", "gen_all"),
         "parser": ("ParseError", "parse_file"),
         "printer": ("print_decl", "print_module"),
-        "theory": ("Axiom", "EqTheory", "RenameScheme", "ShapeError", "embed", "extract", "rename"),
+        "theory": ("Axiom", "EqTheory", "ShapeError", "embed", "extract"),
     }.items()
     for name in names
 }

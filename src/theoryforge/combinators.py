@@ -120,11 +120,7 @@ def expand(e: TheoryExpr, ctx: Library) -> EqTheory:
     if isinstance(e, Extend):
         return add_members(_parent(ctx, e.parent, e.name), e.name, e.new_decls)
     if isinstance(e, Rename):
-        parent = _parent(ctx, e.parent, e.name)
-        values = list(e.mapping.values())
-        if len(set(values)) != len(values):
-            raise CollisionError(f"{e.name!r}: renaming is not injective")
-        return rename_with(parent, e.mapping, new_name=e.name)
+        return rename_with(_parent(ctx, e.parent, e.name), e.mapping, new_name=e.name)
     if isinstance(e, Combine):
         return _expand_combine(
             e,

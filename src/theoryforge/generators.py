@@ -3,10 +3,11 @@
 Each generator consumes a validated :class:`~theoryforge.theory.EqTheory`
 and produces either another theory (signature, product) or a declaration
 (term languages, homomorphism family).  All generation is deterministic.
-Every name a construction adds is drawn from one :class:`NameSupply` per
-output module, which hands out the default name while it is free and
-primes it (``fst'``) once it is taken, so a theory and all of its
-constructions can live in one module under the distinct-member-names rule.
+Every name a construction adds is decided here, suffix scheme included,
+and drawn from one :class:`NameSupply` per output module, which hands out
+the default name while it is free and primes it (``fst'``) once it is
+taken, so a theory and all of its constructions can live in one module
+under the distinct-member-names rule.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .ast import (
 from .theory import (
     Axiom,
     EqTheory,
-    RenameScheme,
     associativity,
     associativity_op,
     embed,
@@ -131,11 +131,23 @@ def _supply(t: EqTheory, names: NameSupply | None) -> NameSupply:
     return NameSupply.for_module(embed(t)) if names is None else names
 
 
-def _renaming(t: EqTheory, suffix: str, names: NameSupply) -> dict[str, str]:
-    """The suffix scheme's targets, drawn from the supply; they also avoid
-    every bound variable of the axioms, which a target would capture."""
-    bound = {v for ax in t.axioms for v in ax.var_names}
-    return {old: names.fresh(new, bound) for old, new in RenameScheme(suffix).mapping_for(t).items()}
+def _renaming(t: EqTheory, suffix: str, names: NameSupply, bound: Container[str]) -> dict[str, str]:
+    """The sort and each operation to ``name + suffix``, drawn from the
+    supply; they also avoid ``bound``, the variables a name would capture."""
+    return {old: names.fresh(old + suffix, bound) for old in [t.sort.name, *(f.name for f in t.func_types)]}
+
+
+def _symbols(ax: Axiom) -> set[str]:
+    """The symbols either side of the axiom mentions."""
+    found: set[str] = set()
+    todo: list[Term] = [ax.lhs, ax.rhs]
+    while todo:
+        n = todo.pop()
+        if type(n) is App:
+            todo += (n.fn, n.arg)
+        elif type(n) is Sym:
+            found.add(n.name)
+    return found
 
 
 def _record(t: EqTheory, names: NameSupply) -> RecordDecl:
@@ -154,7 +166,7 @@ def gen_signature(
     names = _supply(t, names)
     name = names.fresh(t.name + "Sig")
     bare = EqTheory(t.name, t.sort, t.func_types, [], t.waist)
-    return rename_with(bare, _renaming(bare, suffix, names), new_name=name)
+    return rename_with(bare, _renaming(bare, suffix, names, ()), new_name=name)
 
 
 # -- product algebra ---------------------------------------------------------------
@@ -165,24 +177,37 @@ def gen_product(
     """The theory over the binary product of the carrier: every occurrence
     of the sort becomes ``Prod s s``, axiom binders become explicit (one per
     variable, variables suffixed), and a recognised associativity axiom is
-    restated canonically as ``f (f x y) z == f x (f y z)``."""
+    restated canonically as ``f (f x y) z == f x (f y z)``.  Axioms are
+    named ``associative_<op><suffix>``, else after the first constant they
+    mention, ``<axiom>_<constant><suffix>``, else ``<axiom><suffix>``."""
     names = _supply(t, names)
     name = names.fresh(t.name + "Prod")
-    mapping = _renaming(t, suffix, names)
-    sort2 = mapping.get(t.sort.name, t.sort.name)
-    prod_ty = TyApp(names.prod_type, [SortRef(sort2), SortRef(sort2)])
-    funcs = [Constr(mapping.get(f.name, f.name), map_names(f.ty, {t.sort.name: prod_ty})) for f in t.func_types]
-    axioms = []
+    bound = {v for ax in t.axioms for v in ax.var_names}
+    mapping = _renaming(t, suffix, names, bound)
+    constants = [f.name for f in t.func_types if type(f.ty) is not Arrow]
+    ops = []
     for ax in t.axioms:
-        scope = names.scope()
-        var_map = {v: scope.fresh(v + suffix) for v in ax.var_names}
         op = associativity_op(ax)
         if op is not None:
-            lhs, rhs = associativity(mapping.get(op, op), *map(Var, var_map.values()))
+            target = "associative_" + op
+        else:
+            mentioned = _symbols(ax)
+            target = next((f"{ax.name}_{c}" for c in constants if c in mentioned), ax.name)
+        mapping[ax.name] = names.fresh(target + suffix, bound)
+        ops.append(op)
+    sort2 = mapping[t.sort.name]
+    prod_ty = TyApp(names.prod_type, [SortRef(sort2), SortRef(sort2)])
+    funcs = [Constr(mapping[f.name], map_names(f.ty, {t.sort.name: prod_ty})) for f in t.func_types]
+    axioms = []
+    for ax, op in zip(t.axioms, ops):
+        scope = names.scope()
+        var_map = {v: scope.fresh(v + suffix) for v in ax.var_names}
+        if op is not None:
+            lhs, rhs = associativity(mapping[op], *map(Var, var_map.values()))
         else:
             lhs, rhs = (map_names(side, syms=mapping, vars=var_map) for side in (ax.lhs, ax.rhs))
         binders = [Binder([v], prod_ty) for v in var_map.values()]
-        axioms.append(Axiom(mapping.get(ax.name, ax.name), binders, lhs, rhs))
+        axioms.append(Axiom(mapping[ax.name], binders, lhs, rhs))
     return EqTheory(name, Constr(sort2, SetKind()), funcs, axioms, t.waist)
 
 

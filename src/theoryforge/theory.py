@@ -6,8 +6,9 @@ many leading telescope entries are record parameters rather than fields.
 
 ``add_members`` is the one reader of telescope entries, for a record
 (``extract``) and a library's ``base``, ``extend`` and ``combine`` alike;
-``embed`` writes a theory back as a record, and ``rename`` rewrites
-declared names consistently everywhere they occur.
+``embed`` writes a theory back as a record, and ``rename_with`` applies an
+explicit name map consistently everywhere the names occur; the names that
+generation adds are decided in :mod:`theoryforge.generators`.
 ``associativity`` builds the one canonical associativity statement, which
 ``associativity_op`` recognises and the product construction restates.
 Quantifier structure of axioms (grouping and hidden/explicit marks) is
@@ -20,7 +21,6 @@ binder groups, and comes back grouped that way.
 from __future__ import annotations
 
 from collections.abc import Container, Mapping
-from typing import NamedTuple
 
 from .ast import (
     App,
@@ -75,10 +75,6 @@ class EqTheory(Structure):
 
     def declared_names(self) -> list[str]:
         return [self.sort.name] + [f.name for f in self.func_types] + [a.name for a in self.axioms]
-
-    def constants(self) -> list[str]:
-        """Nullary function symbols, in declaration order."""
-        return [f.name for f in self.func_types if type(f.ty) is not Arrow]
 
 
 # -- extraction -----------------------------------------------------------------
@@ -272,51 +268,6 @@ def associativity_op(ax: Axiom) -> str | None:
     return None
 
 
-def mentioned_constants(ax: Axiom, t: EqTheory) -> list[str]:
-    """Nullary symbols of ``t`` the axiom mentions, in declaration order."""
-    mentioned: set[str] = set()
-    todo: list[Term] = [ax.lhs, ax.rhs]
-    while todo:
-        n = todo.pop()
-        if type(n) is App:
-            todo += (n.fn, n.arg)
-        elif type(n) is Sym:
-            mentioned.add(n.name)
-    return [c for c in t.constants() if c in mentioned]
-
-
-class RenameScheme(NamedTuple):
-    """Systematic renaming: every sort and function symbol gets ``suffix``
-    appended; axiom names follow the library convention — an associativity
-    axiom becomes ``associative_<renamed op>``, an axiom mentioning a
-    constant keeps its base name plus ``_<renamed constant>``, anything else
-    just gets the suffix.  The empty suffix is the identity scheme."""
-
-    suffix: str
-
-    def mapping_for(self, t: EqTheory) -> dict[str, str]:
-        if not self.suffix:
-            return {}
-        mapping = {t.sort.name: t.sort.name + self.suffix}
-        for f in t.func_types:
-            mapping[f.name] = f.name + self.suffix
-        for ax in t.axioms:
-            op = associativity_op(ax)
-            if op is not None:
-                mapping[ax.name] = "associative_" + mapping[op]
-                continue
-            consts = mentioned_constants(ax, t)
-            if consts:
-                mapping[ax.name] = f"{ax.name}_{mapping[consts[0]]}"
-            else:
-                mapping[ax.name] = ax.name + self.suffix
-        return mapping
-
-
-def rename(t: EqTheory, scheme: RenameScheme) -> EqTheory:
-    return rename_with(t, scheme.mapping_for(t))
-
-
 # -- embedding ---------------------------------------------------------------------
 
 def embed(t: EqTheory) -> RecordDecl:
@@ -337,7 +288,6 @@ __all__ = [
     "Axiom",
     "CollisionError",
     "EqTheory",
-    "RenameScheme",
     "ShapeError",
     "add_members",
     "associativity",
@@ -345,7 +295,5 @@ __all__ = [
     "constr_to_axiom",
     "embed",
     "extract",
-    "mentioned_constants",
-    "rename",
     "rename_with",
 ]

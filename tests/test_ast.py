@@ -34,7 +34,7 @@ from theoryforge.ast import (
 from theoryforge.checker import CheckError
 from theoryforge.parser import parse_decl
 from theoryforge.printer import print_type
-from theoryforge.theory import Axiom, EqTheory, RenameScheme, extract
+from theoryforge.theory import Axiom, EqTheory, extract
 
 DEEP = 5000
 assert DEEP > sys.getrecursionlimit()
@@ -197,15 +197,13 @@ def test_trees_and_theories_stay_unhashable(value):
         hash(value)
 
 
-def test_check_errors_and_rename_schemes_are_hashable_records():
+def test_check_errors_are_hashable_records():
     a = CheckError("SortMismatch", "m", (1, 2))
     assert a == CheckError("SortMismatch", "m", (1, 2))
     assert a != CheckError("SortMismatch", "m", (1, 3))
     assert a != CheckError("UnboundName", "m", (1, 2))
     assert len({a, CheckError("SortMismatch", "m", (1, 2))}) == 1
     assert CheckError("k", "m").pos is None
-    assert RenameScheme("S") == RenameScheme(suffix="S") != RenameScheme("P")
-    assert len({RenameScheme("S"), RenameScheme("S"), RenameScheme("P")}) == 2
 
 
 def test_repr_lists_every_field_in_constructor_order():

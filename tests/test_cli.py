@@ -526,6 +526,29 @@ def test_lib_refuses_a_variable_named_like_an_earlier_axiom(workdir, capsys, nam
         assert not (workdir / "libout").exists()
 
 
+@pytest.mark.parametrize(
+    "renaming, message",
+    [
+        ("e to g, f to g", "renaming produces duplicate names"),
+        ("e to g, x to g", "renaming of undeclared names: x"),
+        ("e to f", "renaming produces duplicate names"),
+    ],
+    ids=["two-to-one", "undeclared", "onto-a-declared-name"],
+)
+def test_lib_refuses_a_renaming_that_is_not_injective_once(workdir, capsys, renaming, message):
+    lib = workdir / "rename.lib"
+    lib.write_text(
+        f"theory C = base {{ A : Set  e : A  f : A → A }}\ntheory Q = rename C renaming ({renaming})\n",
+        encoding="utf-8",
+    )
+    for jobs in ([], ["--jobs", "1"]):
+        assert main(["lib", str(lib), "--out", "libout", *jobs]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"{lib}: while expanding 'Q': {message}"]
+        assert not (workdir / "libout").exists()
+
+
 def test_check_refuses_a_variable_named_like_a_later_operation(workdir, capsys):
     source = workdir / "m.eqt"
     source.write_text(
@@ -621,6 +644,39 @@ def test_gen_writes_no_file_of_a_theory_whose_module_fails_its_check(workdir, ca
     ]
     assert captured.err == ""
     assert not (workdir / "out" / "Mo").exists()
+    assert sorted(p.name for p in (workdir / "out" / "Monoid").iterdir()) == [
+        "MonoidEnd.gen.eqt", "MonoidHom.gen.eqt", "module.gen.eqt",
+    ]
+
+
+@pytest.fixture()
+def unparsable(monkeypatch):
+    """Make ``cli.print_decl`` append `` )`` to Mo's printed hom, so Mo's
+    module does not reparse.  Forked workers inherit the patch."""
+    from theoryforge import cli
+
+    print_decl = cli.print_decl
+
+    def with_unparsable(d):
+        text = print_decl(d)
+        return text + " )" if d.name == "MoHom" else text
+
+    monkeypatch.setattr(cli, "print_decl", with_unparsable)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_gen_writes_no_file_of_a_theory_whose_module_does_not_reparse(workdir, capsys, unparsable, jobs):
+    # at --jobs 2, Mo is the second theory and runs in a forked process
+    source = workdir / "mo.eqt"
+    monoid = (DATA / "monoid.eqt").read_text(encoding="utf-8")
+    source.write_text(monoid + "\n" + _plain("Mo"), encoding="utf-8")
+    assert main(["gen", str(source), "--constructions", "hom,endo", "--out", "out", "--jobs", jobs]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        "out/Mo/module.gen.eqt:10:90: ParseError: expected 'record' or 'data', got ')'",
+    ]
+    assert captured.err == ""
+    assert sorted(p.name for p in (workdir / "out").iterdir()) == ["Monoid"]
     assert sorted(p.name for p in (workdir / "out" / "Monoid").iterdir()) == [
         "MonoidEnd.gen.eqt", "MonoidHom.gen.eqt", "module.gen.eqt",
     ]

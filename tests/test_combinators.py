@@ -160,7 +160,7 @@ def test_duplicate_entry_name_rejected():
 
 def test_rename_must_be_injective(library):
     entry = Rename("Bad", "Unital", {"lunit": "u", "runit": "u"})
-    with pytest.raises(Exception, match="injective"):
+    with pytest.raises(Exception, match="^renaming produces duplicate names$"):
         expand(entry, library)
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from conftest import same_decl_ignoring_constructor
+from theoryforge import generators, theory
 from theoryforge.ast import (
     RESERVED_WORDS,
     Arrow,
@@ -33,7 +34,7 @@ from theoryforge.generators import (
 )
 from theoryforge.parser import parse_decl
 from theoryforge.printer import print_decl
-from theoryforge.theory import embed, extract
+from theoryforge.theory import associativity_op, embed, extract
 
 BARE = extract(parse_decl("record Carrier (A : Set) : Set where"))
 POINTED = extract(parse_decl("record Pointed (A : Set) : Set where\n  field\n    e : A"))
@@ -109,6 +110,54 @@ def test_product_of_magma_field_type():
     (op,) = prod.func_types
     p = TyApp("Prod", [SortRef("AP"), SortRef("AP")])
     assert op.ty == Arrow(p, Arrow(p, p))
+
+
+def test_product_names_each_axiom_after_what_it_states(monoid):
+    assert [a.name for a in gen_product(monoid).axioms] == ["lunit_eP", "runit_eP", "associative_opP"]
+
+
+def test_product_names_an_axiom_without_a_constant_by_its_suffix():
+    comm = extract(parse_decl(
+        "record C (A : Set) : Set where\n"
+        "  field\n"
+        "    op : A → A → A\n"
+        "    comm : {x y : A} → op x y == op y x"
+    ))
+    assert [a.name for a in gen_product(comm).axioms] == ["commP"]
+
+
+def test_product_names_an_axiom_after_the_first_declared_constant_it_mentions():
+    # the axiom mentions b before a; a is declared first
+    t = extract(parse_decl(
+        "record C (A : Set) : Set where\n"
+        "  field\n"
+        "    a : A\n"
+        "    b : A\n"
+        "    op : A → A → A\n"
+        "    ax : op b a == op a b"
+    ))
+    assert [a.name for a in gen_product(t).axioms] == ["ax_aP"]
+
+
+def test_product_reads_each_axiom_once(library, monkeypatch):
+    calls = []
+
+    def counted(ax):
+        calls.append(ax.name)
+        return associativity_op(ax)
+
+    monkeypatch.setattr(theory, "associativity_op", counted)
+    monkeypatch.setattr(generators, "associativity_op", counted)
+    for t in library.theories():
+        gen_product(t)
+    assert len(calls) == sum(len(t.axioms) for t in library.theories()) == 233
+
+
+def test_an_empty_suffix_primes_every_taken_name(monoid):
+    sig = gen_signature(monoid, "")
+    assert [sig.sort.name, *(f.name for f in sig.func_types)] == ["A'", "e'", "op'"]
+    prod = gen_product(monoid, "")
+    assert [a.name for a in prod.axioms] == ["lunit_e", "runit_e", "associative_op"]
 
 
 def test_product_binders_are_explicit_even_if_source_hidden(monoid):

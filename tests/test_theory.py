@@ -10,13 +10,10 @@ from theoryforge.theory import (
     Axiom,
     CollisionError,
     EqTheory,
-    RenameScheme,
     ShapeError,
     associativity_op,
     embed,
     extract,
-    mentioned_constants,
-    rename,
     rename_with,
 )
 
@@ -98,39 +95,21 @@ def test_extract_waist_zero():
     assert [f.name for f in t.func_types] == ["e"]
 
 
+def suffixed(t: EqTheory, suffix: str) -> dict[str, str]:
+    return {n: n + suffix for n in t.declared_names()}
+
+
 def test_rename_with_suffix_renames_sort_and_symbols(monoid):
-    t = rename(monoid, RenameScheme("S"))
+    t = rename_with(monoid, suffixed(monoid, "S"))
     assert t.sort.name == "AS"
     assert [f.name for f in t.func_types] == ["eS", "opS"]
     # occurrences inside types follow
     assert t.func_types[0].ty == SortRef("AS")
 
 
-def test_identity_scheme_is_identity(monoid):
-    assert rename(monoid, RenameScheme("")) == monoid
-
-
-def test_axiom_rename_convention(monoid):
-    mapping = RenameScheme("P").mapping_for(monoid)
-    assert mapping["lunit"] == "lunit_eP"
-    assert mapping["runit"] == "runit_eP"
-    assert mapping["assoc"] == "associative_opP"
-
-
-def test_fallback_axiom_rename_appends_suffix():
-    d = parse_decl(
-        "record C (A : Set) : Set where\n"
-        "  field\n"
-        "    op : A → A → A\n"
-        "    comm : {x y : A} → op x y == op y x"
-    )
-    t = extract(d)
-    assert RenameScheme("P").mapping_for(t)["comm"] == "commP"
-
-
 def test_rename_preserves_counts_and_shape(library):
     for t in library.theories():
-        r = rename(t, RenameScheme("Q"))
+        r = rename_with(t, suffixed(t, "Q"))
         assert len(r.func_types) == len(t.func_types)
         assert len(r.axioms) == len(t.axioms)
         assert r.waist == t.waist
@@ -142,7 +121,7 @@ def test_rename_preserves_counts_and_shape(library):
 @pytest.mark.parametrize("suffix", ["S", "_c03"])
 def test_rename_round_trips_across_library(library, suffix):
     for t in library.theories():
-        m = RenameScheme(suffix).mapping_for(t)
+        m = suffixed(t, suffix)
         renamed = rename_with(t, m)
         # re-extraction fails on any occurrence the renaming missed
         assert extract(embed(renamed)) == renamed, t.name
@@ -298,9 +277,3 @@ def _nearly_associative_axioms(draw) -> Axiom:
 def test_associativity_op_agrees_with_the_shape_matcher_it_replaced(ax):
     assert associativity_op(ax) == _reference_associativity_op(ax)
 
-
-def test_mentioned_constants_in_declaration_order(monoid):
-    lunit = monoid.axioms[0]
-    assert mentioned_constants(lunit, monoid) == ["e"]
-    assoc = monoid.axioms[2]
-    assert mentioned_constants(assoc, monoid) == []
